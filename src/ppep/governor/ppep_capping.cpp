@@ -16,7 +16,7 @@ PpepCappingGovernor::PpepCappingGovernor(const sim::ChipConfig &cfg,
                 "PPEP capping needs the PG idle decomposition");
     // Rail voltage scale factors depend only on the VF table, not on the
     // interval — compute each (v/v_train)^alpha once at construction, not
-    // once per assignment per core (the odometer loop visits n_vf^n_cus
+    // once per assignment per core (the search visits up to n_vf^n_cus
     // assignments every decision).
     const auto &dyn_model = ppep_.powerModel().dynamicModel();
     const std::size_t n_vf = cfg_.vf_table.size();
@@ -53,13 +53,18 @@ PpepCappingGovernor::decideInto(const trace::IntervalRecord &rec,
     // inputs, Obs. 2 gap, busy fraction) is extracted once per core and
     // shared across the VF sweep. Tables are flat [c * n_vf + vf] in
     // member scratch so steady-state decisions never touch the heap.
-    // rt-escape: warm-up growth of the member scratch tables; fixed
-    // sizes after the first decision.
+    // rt-escape: warm-up growth of the member scratch tables and the
+    // caller-owned decision vector; fixed sizes after the first
+    // decision.
     PPEP_RT_WARMUP_BEGIN
     ips_.assign(n_cores * n_vf, 0.0);
     core_base_.assign(n_cores * n_vf, 0.0);
     nb_part_.assign(n_cores * n_vf, 0.0);
     busy_per_cu_.assign(cfg_.n_cus, 0);
+    busy_cus_.assign(cfg_.n_cus, 0);
+    assign_.assign(cfg_.n_cus, 0);
+    priced_.assign(cfg_.n_cus, 0);
+    out.assign(cfg_.n_cus, 0);
     PPEP_RT_WARMUP_END
     for (std::size_t c = 0; c < n_cores; ++c) {
         const std::size_t cu = c / cfg_.cores_per_cu;
@@ -85,30 +90,36 @@ PpepCappingGovernor::decideInto(const trace::IntervalRecord &rec,
             ++busy_per_cu_[cu];
     }
 
-    const double budget = cap_w * (1.0 - guard_band_);
-    const auto &pg = ppep_.pgModel();
+    // Pin idle CUs at VF 0. A core that is not busy predicts all-zero
+    // rates at every VF (predictAt's idle and invalid-CPI paths), and
+    // the dynamic-power split is linear with no intercept, so its ips
+    // and power terms are zero at any VF; the rail and idle pricing read
+    // busy CUs only. Assignments that differ only in idle CUs' digits
+    // therefore predict the same IPS and power, the all-VF-0 variant is
+    // visited first, and a later one could win only with strictly more
+    // IPS: enumerating the busy CUs' digits alone is exact. (Non-finite
+    // model weights can turn a zero term into NaN, but then every
+    // assignment's power is NaN and both searches fall back alike.)
+    std::size_t n_busy = 0;
+    for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu)
+        if (busy_per_cu_[cu] > 0)
+            busy_cus_[n_busy++] = cu;
 
-    // Enumerate all per-CU assignments (n_vf^n_cus; 625 on the FX-8320)
-    // and keep the feasible one with the highest predicted throughput.
-    // Fall back to all-lowest if nothing fits.
+    // Enumerate the busy CUs' assignments (n_vf^n_busy; at most 625 on
+    // the FX-8320) in odometer order and keep the feasible one with the
+    // highest predicted throughput. Fall back to all-lowest if nothing
+    // fits.
     //
     // On shared-rail hardware every CU runs at the highest requested
     // voltage, so the governor must price assignments that way or it
     // will blow straight through the cap (ablation A7 quantifies the
     // damage of ignoring this).
-    // rt-escape: warm-up growth of the caller-owned decision vector
-    // and the odometer scratch.
-    PPEP_RT_WARMUP_BEGIN
-    out.assign(cfg_.n_cus, 0);
-    PPEP_RT_WARMUP_END
+    const double budget = cap_w * (1.0 - guard_band_);
     double best_ips = -1.0;
     double best_power = std::numeric_limits<double>::quiet_NaN();
     double all_lowest_power = std::numeric_limits<double>::quiet_NaN();
-    // rt-escape: warm-up growth of the odometer scratch.
-    PPEP_RT_WARMUP_BEGIN
-    assign_.assign(cfg_.n_cus, 0);
-    PPEP_RT_WARMUP_END
     bool first_assignment = true;
+    const auto &pg = ppep_.pgModel();
     while (true) {
         // Rail resolution: per-CU planes use each CU's own voltage;
         // a shared rail pins everyone to the highest requested state.
@@ -138,41 +149,35 @@ PpepCappingGovernor::decideInto(const trace::IntervalRecord &rec,
         if (cfg_.per_cu_voltage) {
             idle = pg.chipIdleMixed(assign_, busy_per_cu_, true);
         } else {
-            // rt-escape: warm-up growth of the rail-pricing scratch.
-            PPEP_RT_WARMUP_BEGIN
-            priced_.assign(assign_.begin(), assign_.end());
-            PPEP_RT_WARMUP_END
-            for (auto &vf : priced_)
-                vf = std::max(vf, max_idx);
+            for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu)
+                priced_[cu] = std::max(assign_[cu], max_idx);
             idle = pg.chipIdleMixed(priced_, busy_per_cu_, true);
         }
 
         const double power = idle + total_dyn;
         if (first_assignment) {
-            // Odometer starts at the all-lowest assignment — remember its
-            // power as the prediction behind the infeasible-cap fallback.
+            // The search starts at the all-lowest assignment — remember
+            // its power as the prediction behind the infeasible-cap
+            // fallback.
             all_lowest_power = power;
             first_assignment = false;
         }
         if (power <= budget && total_ips > best_ips) {
             best_ips = total_ips;
-            // rt-escape: same-size assign into the already-sized
-            // decision vector; reuses capacity.
-            PPEP_RT_WARMUP_BEGIN
-            out.assign(assign_.begin(), assign_.end());
-            PPEP_RT_WARMUP_END
+            for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu)
+                out[cu] = assign_[cu];
             best_power = power;
         }
 
-        // Next assignment (odometer increment).
-        std::size_t pos = 0;
-        while (pos < cfg_.n_cus) {
-            if (++assign_[pos] < n_vf)
+        // Next assignment: odometer increment over the busy digits.
+        std::size_t k = 0;
+        for (; k < n_busy; ++k) {
+            std::size_t &digit = assign_[busy_cus_[k]];
+            if (++digit < n_vf)
                 break;
-            assign_[pos] = 0;
-            ++pos;
+            digit = 0;
         }
-        if (pos == cfg_.n_cus)
+        if (k == n_busy)
             break;
     }
     last_predicted_power_w_ =

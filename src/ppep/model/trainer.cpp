@@ -265,6 +265,10 @@ Trainer::trainAll(
     collected.reserve(combos.size() * cfg_.vf_table.size());
     std::vector<const ComboTrace *> selected;
     for (const auto *combo : combos) {
+        // A set shared across platforms may hold combinations with more
+        // threads than this chip has cores; they cannot launch here.
+        if (combo->instances.size() > cfg_.coreCount())
+            continue;
         for (std::size_t vf = 0; vf < cfg_.vf_table.size(); ++vf) {
             const ComboTrace *found = nullptr;
             if (dataset) {

@@ -142,6 +142,9 @@ class Trainer
      * optional @p dataset avoids re-collecting traces the caller already
      * has (entries whose combo is not in @p combos are ignored; top-VF
      * entries feed Eq. 3, all entries feed the GG baseline).
+     * Combinations with more instances than the chip has cores are
+     * skipped, so one training set can serve every platform (a 6-core
+     * Phenom II drops the 8-thread PARSEC/NPB entries).
      */
     TrainedModels
     trainAll(const std::vector<const workloads::Combination *> &combos,

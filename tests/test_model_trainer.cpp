@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "ppep/model/serialization.hpp"
 #include "ppep/model/trainer.hpp"
 
 namespace {
@@ -166,6 +169,32 @@ TEST(Trainer, PhenomHasNoPgModel)
     const auto models = trainer.trainAll(combos);
     EXPECT_FALSE(models.pg.trained());
     EXPECT_TRUE(models.chip.trained());
+}
+
+TEST(Trainer, TrainAllSkipsCombinationsTheChipCannotFit)
+{
+    // A training set shared across platforms may hold 8-thread
+    // combinations; the 6-core Phenom II trains on the rest, exactly as
+    // if they had never been listed.
+    const auto cfg = sim::phenomIIConfig();
+    ASSERT_EQ(cfg.coreCount(), 6u);
+    std::vector<const wl::Combination *> fitting;
+    for (const auto &c : wl::allCombinations())
+        if (c.instances.size() == 1 &&
+            c.suite != wl::SuiteId::Spec && fitting.size() < 4)
+            fitting.push_back(&c);
+    auto with_oversized = fitting;
+    with_oversized.insert(with_oversized.begin() + 1,
+                          &comboNamed("blackscholes.x8"));
+    ASSERT_GT(with_oversized[1]->instances.size(), cfg.coreCount());
+
+    const auto save = [](const TrainedModels &m) {
+        std::ostringstream out;
+        saveModels(m, out);
+        return out.str();
+    };
+    EXPECT_EQ(save(Trainer(cfg, 13).trainAll(with_oversized)),
+              save(Trainer(cfg, 13).trainAll(fitting)));
 }
 
 TEST(TrainerDeath, PgSweepNeedsPgSupport)

@@ -234,6 +234,34 @@ TEST(Fleet, HeterogeneousSharesEntriesPerConfig)
     EXPECT_EQ(&fleet.ppep(), &fleet.ppepOf(0));
 }
 
+TEST(Fleet, EachPlatformTrainsOnTheCombinationsItsCoresFit)
+{
+    // One 8-thread combination in the shared training set: the 6-core
+    // Phenom II used to die launching it. It must train on the rest,
+    // and both entries keep keying the store by the set they were given.
+    auto combos = smallTrainingSet(4);
+    for (const auto &c : workloads::allCombinations())
+        if (c.name == "blackscholes.x8")
+            combos.push_back(&c);
+    ASSERT_EQ(combos.size(), 5u);
+    const auto phenom = sim::phenomIIConfig();
+
+    FleetSpec spec = baseSpec(2);
+    spec.training_combos = combos;
+    spec.sessions[1].cfg = phenom;
+    spec.sessions[1].pg = false;
+    Fleet fleet(std::move(spec));
+    const auto res = fleet.run(2);
+    EXPECT_EQ(res.completed, 2u);
+    EXPECT_EQ(fleet.modelEntryCount(), 2u);
+
+    const runtime::ModelStore store(cacheDir());
+    using runtime::ModelStore;
+    EXPECT_TRUE(store.contains(
+        ModelStore::keyFor(sim::fx8320Config(), 91, combos)));
+    EXPECT_TRUE(store.contains(ModelStore::keyFor(phenom, 91, combos)));
+}
+
 TEST(Fleet, HeterogeneousBitIdenticalAcrossThreadCounts)
 {
     Fleet fleet(heteroSpec());

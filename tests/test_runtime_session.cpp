@@ -264,6 +264,29 @@ TEST(Session, ExternalGovernorNeedsNoModels)
     EXPECT_EQ(&session.policy(), &reactive);
 }
 
+TEST(Session, PhenomTrainsOnTheCombinationsItsCoresFit)
+{
+    // The default training set is FX-8320-sized; a caller-supplied one
+    // with an 8-thread combination must not kill a 6-core Phenom II
+    // session during model acquisition.
+    std::vector<const workloads::Combination *> training;
+    for (const auto &c : workloads::allCombinations())
+        if (c.instances.size() == 1 &&
+            c.suite != workloads::SuiteId::Spec && training.size() < 4)
+            training.push_back(&c);
+    for (const auto &c : workloads::allCombinations())
+        if (c.name == "blackscholes.x8")
+            training.push_back(&c);
+    ASSERT_EQ(training.size(), 5u);
+    auto session = runtime::Session::builder(sim::phenomIIConfig())
+                       .seed(12)
+                       .onePerCu({"EP", "CG"})
+                       .trainingCombos(training)
+                       .build();
+    EXPECT_TRUE(session.hasModels());
+    EXPECT_EQ(session.run(4).size(), 4u);
+}
+
 TEST(Session, FailedSinksAreReportedNotSilent)
 {
     // A full disk (stream failure) mid-run must surface through both

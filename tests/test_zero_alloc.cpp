@@ -157,6 +157,29 @@ TEST(ZeroAlloc, CappingGovernorSteadyStateIntervalIsAllocationFree)
             << "interval " << i;
 }
 
+TEST(ZeroAlloc, CappingGovernorPartiallyIdleIntervalIsAllocationFree)
+{
+    // Two busy CUs of four: the search pins the idle CUs at VF 0 and
+    // enumerates the busy ones only, on a shared rail and on per-CU
+    // planes alike.
+    const Stack stack;
+    for (const bool per_cu_voltage : {false, true}) {
+        sim::ChipConfig cfg = stack.cfg;
+        cfg.per_cu_voltage = per_cu_voltage;
+        sim::Chip chip(cfg, 5);
+        chip.setPowerGatingEnabled(true);
+        workloads::launch(chip, workloads::replicate("433.milc", 2), true);
+        governor::PpepCappingGovernor gov(cfg, stack.ppep);
+        governor::GovernorLoop loop(chip, gov);
+        const governor::CapSchedule schedule(60.0);
+
+        loop.drive(5, schedule);
+        for (int i = 0; i < 10; ++i)
+            EXPECT_EQ(allocationsPerInterval(loop, schedule), 0u)
+                << "interval " << i << " per-CU planes " << per_cu_voltage;
+    }
+}
+
 /** Discards everything without ever touching the heap. */
 class NullStreambuf : public std::streambuf
 {
