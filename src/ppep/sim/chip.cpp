@@ -15,6 +15,7 @@ Chip::Chip(ChipConfig cfg, std::uint64_t seed)
       sensor_(cfg_.sensor, util::Rng(seed).fork(0xBEEF)),
       jobs_(cfg_.coreCount()),
       cu_vf_(cfg_.n_cus, cfg_.vf_table.top()),
+      activity_memo_(cfg_.coreCount()),
       pg_enabled_(false)
 {
     cfg_.validate();
@@ -94,16 +95,26 @@ std::size_t
 Chip::grantedVf(std::size_t cu) const PPEP_NONBLOCKING
 {
     PPEP_ASSERT(cu < cu_vf_.size(), "CU out of range");
-    const std::size_t requested = cu_vf_[cu];
-    if (requested < cfg_.vf_table.size())
-        return requested;
+    return grantFor(cu, boostAllowed());
+}
+
+bool
+Chip::boostAllowed() const PPEP_NONBLOCKING
+{
     std::size_t busy_cus = 0;
     for (std::size_t i = 0; i < cfg_.n_cus; ++i)
         busy_cus += !cuIdle(i);
-    const bool allowed =
-        busy_cus <= cfg_.boost_max_busy_cus &&
-        thermal_.temperature() < cfg_.boost_temp_limit_k;
-    return allowed ? requested : cfg_.vf_table.top();
+    return busy_cus <= cfg_.boost_max_busy_cus &&
+           thermal_.temperature() < cfg_.boost_temp_limit_k;
+}
+
+std::size_t
+Chip::grantFor(std::size_t cu, bool boost_allowed) const PPEP_NONBLOCKING
+{
+    const std::size_t requested = cu_vf_[cu];
+    if (requested < cfg_.vf_table.size() || boost_allowed)
+        return requested;
+    return cfg_.vf_table.top();
 }
 
 void
@@ -203,18 +214,14 @@ Chip::cuIdle(std::size_t cu) const PPEP_NONBLOCKING
 }
 
 double
-Chip::effectiveCuVoltage(std::size_t cu) const PPEP_NONBLOCKING
+Chip::railVoltage(bool boost_allowed) const PPEP_NONBLOCKING
 {
-    PPEP_ASSERT(cu < cu_vf_.size(), "CU out of range");
-    if (cfg_.per_cu_voltage)
-        return stateOf(grantedVf(cu)).voltage;
-    // Shared rail: the highest granted voltage among ungated CUs wins.
     double v = 0.0;
     bool any = false;
     for (std::size_t i = 0; i < cu_vf_.size(); ++i) {
         if (pg_enabled_ && cuIdle(i))
             continue;
-        v = std::max(v, stateOf(grantedVf(i)).voltage);
+        v = std::max(v, stateOf(grantFor(i, boost_allowed)).voltage);
         any = true;
     }
     if (!any)
@@ -222,22 +229,54 @@ Chip::effectiveCuVoltage(std::size_t cu) const PPEP_NONBLOCKING
     return v;
 }
 
+void
+Chip::cuOperatingPoints(double *freq_ghz,
+                        double *voltage) const PPEP_NONBLOCKING
+{
+    const bool boost_allowed = boostAllowed();
+    const double rail =
+        cfg_.per_cu_voltage ? 0.0 : railVoltage(boost_allowed);
+    for (std::size_t cu = 0; cu < cu_vf_.size(); ++cu) {
+        const VfState &granted = stateOf(grantFor(cu, boost_allowed));
+        freq_ghz[cu] = granted.freq_ghz;
+        voltage[cu] = cfg_.per_cu_voltage ? granted.voltage : rail;
+    }
+}
+
 double
-Chip::activityFactor(std::size_t core) const PPEP_NONBLOCKING
+Chip::effectiveCuVoltage(std::size_t cu) const PPEP_NONBLOCKING
+{
+    PPEP_ASSERT(cu < cu_vf_.size(), "CU out of range");
+    const bool boost_allowed = boostAllowed();
+    if (cfg_.per_cu_voltage)
+        return stateOf(grantFor(cu, boost_allowed)).voltage;
+    return railVoltage(boost_allowed);
+}
+
+double
+Chip::activityFactor(std::size_t core) PPEP_NONBLOCKING
 {
     const Job *j = jobs_[core].get();
     if (!j || j->finished())
         return 1.0;
     // Deterministic per (benchmark, phase index): the same code region
     // has the same unmodeled behaviour at every VF state and in every
-    // run — exactly like real software. The job caches its name hash at
-    // construction so this stays off the per-tick critical path.
+    // run — exactly like real software. The factor is a pure function
+    // of this hash, so each core keeps the last one and re-derives it
+    // (an RNG seeding plus a Box-Muller draw) only when its job or
+    // phase changes.
     const std::uint64_t h =
         j->nameHash() ^
         (j->currentPhaseIndex() * 0x9e3779b97f4a7c15ULL);
-    util::Rng r(h);
-    return std::max(0.5,
-                    1.0 + r.gaussian(0.0, cfg_.power.phase_activity_sd));
+    ActivityMemo &memo = activity_memo_[core];
+    if (!memo.valid || memo.key != h) {
+        util::Rng r(h);
+        memo.value = std::max(
+            0.5, 1.0 + r.gaussian(0.0, cfg_.power.phase_activity_sd));
+        memo.key = h;
+        memo.valid = true;
+    }
+    return memo.value;
 }
 
 TickResult
@@ -304,10 +343,7 @@ Chip::stepPhaseA(TickResult &res) PPEP_NONBLOCKING
     cu_volt.assign(cfg_.n_cus, 0.0);
     cu_freq.assign(cfg_.n_cus, 0.0);
     PPEP_RT_WARMUP_END
-    for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu) {
-        cu_volt[cu] = effectiveCuVoltage(cu);
-        cu_freq[cu] = stateOf(grantedVf(cu)).freq_ghz;
-    }
+    cuOperatingPoints(cu_freq.data(), cu_volt.data());
 
     // 3. Effective rates for busy cores, then the NB contention fixed
     //    point across all of them.

@@ -231,8 +231,38 @@ class Chip
     /** True when both cores of a CU are idle (no runnable job). */
     bool cuIdle(std::size_t cu) const PPEP_NONBLOCKING;
 
-    /** Hidden per-phase activity factor for a core's current phase. */
-    double activityFactor(std::size_t core) const PPEP_NONBLOCKING;
+    /**
+     * The hardware boost rule: boost requests are granted only while at
+     * most boost_max_busy_cus CUs are busy and the die is below
+     * boost_temp_limit_k.
+     */
+    bool boostAllowed() const PPEP_NONBLOCKING;
+
+    /** The state granted to @p cu given this tick's boost verdict. */
+    std::size_t grantFor(std::size_t cu,
+                         bool boost_allowed) const PPEP_NONBLOCKING;
+
+    /**
+     * The shared-rail rule: the highest granted voltage among ungated
+     * CUs wins; with every CU gated the rail idles at the lowest
+     * P-state's voltage.
+     */
+    double railVoltage(bool boost_allowed) const PPEP_NONBLOCKING;
+
+    /**
+     * Every CU's clock and effective voltage for this tick in one pass:
+     * the boost verdict and the shared rail are resolved once, not once
+     * per CU.
+     */
+    void cuOperatingPoints(double *freq_ghz,
+                           double *voltage) const PPEP_NONBLOCKING;
+
+    /**
+     * Hidden per-phase activity factor for a core's current phase,
+     * memoized per core on the (job, phase) hash it is a pure function
+     * of.
+     */
+    double activityFactor(std::size_t core) PPEP_NONBLOCKING;
 
     ChipConfig cfg_;
     NorthBridge nb_;
@@ -246,6 +276,14 @@ class Chip
     std::vector<std::unique_ptr<PmcMultiplexer>> pmc_mux_;
     bool pmc_auto_mux_ = true;
     std::vector<util::Rng> core_rngs_;
+    /** activityFactor()'s most recent value per core and its key. */
+    struct ActivityMemo
+    {
+        std::uint64_t key = 0;
+        double value = 0.0;
+        bool valid = false;
+    };
+    std::vector<ActivityMemo> activity_memo_;
     bool pg_enabled_ = false;
     double time_s_ = 0.0;
 

@@ -86,8 +86,8 @@ class CoreModel
 
     /**
      * Instructions per second at the given rates, frequency, and memory
-     * latency. Used both for execution and inside the NB's contention
-     * fixed point.
+     * latency. execute() and the NB's contention fixed point evaluate
+     * this same expression inline.
      */
     static double instRate(const PerInstRates &rates, double f_ghz,
                            double mem_lat_ns) PPEP_NONBLOCKING;

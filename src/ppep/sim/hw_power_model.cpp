@@ -30,39 +30,93 @@ HwPowerModel::HwPowerModel(const ChipConfig &cfg)
       vref_(cfg.vf_table.state(cfg.vf_table.top()).voltage),
       nb_vref_(cfg.nb.vf_hi.voltage)
 {
+    const auto tabulate_core = [this](double v) {
+        core_terms_.push_back({v, leakVoltFactor(v, vref_), dynFactor(v)});
+    };
+    for (std::size_t i = 0; i < cfg.vf_table.size(); ++i)
+        tabulate_core(cfg.vf_table.state(i).voltage);
+    for (const VfState &b : cfg.boost_states)
+        tabulate_core(b.voltage);
+    for (double v : {cfg.nb.vf_hi.voltage, cfg.nb.vf_lo.voltage})
+        nb_terms_.push_back({v, leakVoltFactor(v, nb_vref_), 0.0});
+}
+
+double
+HwPowerModel::leakVoltFactor(double voltage,
+                             double ref) const PPEP_NONBLOCKING
+{
+    return std::exp(cfg_.power.leak_volt_k * (voltage - ref));
+}
+
+double
+HwPowerModel::dynFactor(double voltage) const PPEP_NONBLOCKING
+{
+    return std::pow(voltage / vref_, cfg_.power.alpha_true);
+}
+
+double
+HwPowerModel::leakTempFactor(double temp_k) const PPEP_NONBLOCKING
+{
+    const auto &p = cfg_.power;
+    return std::exp(p.leak_temp_k * (temp_k - p.leak_temp_ref_k));
+}
+
+const HwPowerModel::VoltTerms *
+HwPowerModel::lookup(const std::vector<VoltTerms> &table,
+                     double voltage) PPEP_NONBLOCKING
+{
+    for (const VoltTerms &t : table)
+        if (t.voltage == voltage)
+            return &t;
+    return nullptr;
 }
 
 double
 HwPowerModel::dynScale(double voltage) const PPEP_NONBLOCKING
 {
-    return std::pow(voltage / vref_, cfg_.power.alpha_true);
+    const VoltTerms *t = lookup(core_terms_, voltage);
+    return t ? t->dyn : dynFactor(voltage);
+}
+
+double
+HwPowerModel::cuIdleAt(double voltage, double freq_ghz,
+                       double temp_factor) const PPEP_NONBLOCKING
+{
+    const auto &p = cfg_.power;
+    const VoltTerms *t = lookup(core_terms_, voltage);
+    const double leak = p.cu_leak_ref_w *
+                        (t ? t->leak : leakVoltFactor(voltage, vref_)) *
+                        temp_factor;
+    const double clock = p.cu_clock_coeff * freq_ghz * voltage * voltage;
+    return leak + clock;
+}
+
+double
+HwPowerModel::nbStaticAt(const VfState &nb_vf,
+                         double temp_factor) const PPEP_NONBLOCKING
+{
+    const auto &p = cfg_.power;
+    const VoltTerms *t = lookup(nb_terms_, nb_vf.voltage);
+    const double leak =
+        p.nb_leak_ref_w *
+        (t ? t->leak : leakVoltFactor(nb_vf.voltage, nb_vref_)) *
+        temp_factor;
+    const double clock =
+        p.nb_clock_coeff * nb_vf.freq_ghz * nb_vf.voltage * nb_vf.voltage;
+    return leak + clock;
 }
 
 double
 HwPowerModel::cuIdlePower(double voltage, double freq_ghz,
                           double temp_k) const PPEP_NONBLOCKING
 {
-    const auto &p = cfg_.power;
-    const double leak = p.cu_leak_ref_w *
-                        std::exp(p.leak_volt_k * (voltage - vref_)) *
-                        std::exp(p.leak_temp_k *
-                                 (temp_k - p.leak_temp_ref_k));
-    const double clock = p.cu_clock_coeff * freq_ghz * voltage * voltage;
-    return leak + clock;
+    return cuIdleAt(voltage, freq_ghz, leakTempFactor(temp_k));
 }
 
 double
 HwPowerModel::nbStaticPower(const VfState &nb_vf, double temp_k) const PPEP_NONBLOCKING
 {
-    const auto &p = cfg_.power;
-    const double leak = p.nb_leak_ref_w *
-                        std::exp(p.leak_volt_k *
-                                 (nb_vf.voltage - nb_vref_)) *
-                        std::exp(p.leak_temp_k *
-                                 (temp_k - p.leak_temp_ref_k));
-    const double clock =
-        p.nb_clock_coeff * nb_vf.freq_ghz * nb_vf.voltage * nb_vf.voltage;
-    return leak + clock;
+    return nbStaticAt(nb_vf, leakTempFactor(temp_k));
 }
 
 PowerBreakdown
@@ -99,6 +153,8 @@ HwPowerModel::computeInto(const std::vector<CorePowerInput> &cores,
 
     const auto &p = cfg_.power;
     out.base = p.base_power_w;
+    // Leakage's temperature factor is one value for every CU and the NB.
+    const double temp_factor = leakTempFactor(temp_k);
 
     // Per-CU idle (leakage + clock tree), with the gate applied.
     // rt-escape: warm-up growth of the caller-owned breakdown.
@@ -108,7 +164,7 @@ HwPowerModel::computeInto(const std::vector<CorePowerInput> &cores,
     bool any_cu_alive = false;
     for (std::size_t cu = 0; cu < cfg_.n_cus; ++cu) {
         const double full =
-            cuIdlePower(cu_voltage[cu], cu_freq_ghz[cu], temp_k);
+            cuIdleAt(cu_voltage[cu], cu_freq_ghz[cu], temp_factor);
         out.cu_idle[cu] = cu_gated[cu] ? full * p.pg_residual : full;
         any_cu_alive = any_cu_alive || !cu_gated[cu];
     }
@@ -117,7 +173,7 @@ HwPowerModel::computeInto(const std::vector<CorePowerInput> &cores,
     out.housekeeping = any_cu_alive ? p.housekeeping_w : 0.0;
 
     // NB static, gated only when every CU is gated.
-    const double nb_full = nbStaticPower(nb_vf, temp_k);
+    const double nb_full = nbStaticAt(nb_vf, temp_factor);
     out.nb_static = nb_gated ? nb_full * p.pg_residual : nb_full;
 
     // Per-core switched energy + NB access energy.

@@ -61,7 +61,13 @@ struct PowerBreakdown
     double coreDynamicTotal() const PPEP_NONBLOCKING;
 };
 
-/** Stateless ground-truth power evaluator. */
+/**
+ * Stateless ground-truth power evaluator. The voltage-only leakage and
+ * switching factors of every voltage the chip's VF table, boost states
+ * and NB can run at are evaluated once at construction and looked up
+ * by exact voltage; any other voltage is evaluated directly by the same
+ * expression, so lookups are bit-identical to evaluating in place.
+ */
 class HwPowerModel
 {
   public:
@@ -119,9 +125,37 @@ class HwPowerModel
     double dynScale(double voltage) const PPEP_NONBLOCKING;
 
   private:
+    /** Voltage-only factors of one operating voltage. */
+    struct VoltTerms
+    {
+        double voltage = 0.0;
+        double leak = 0.0; ///< exp(leak_volt_k * (voltage - reference))
+        double dyn = 0.0;  ///< (voltage / vref)^alpha_true; cores only
+    };
+
+    /** Leakage voltage factor exp(leak_volt_k * (v - @p ref)). */
+    double leakVoltFactor(double voltage, double ref) const PPEP_NONBLOCKING;
+    /** Switching-energy factor (v / vref)^alpha_true. */
+    double dynFactor(double voltage) const PPEP_NONBLOCKING;
+    /** Leakage temperature factor exp(leak_temp_k * (T - T_ref)). */
+    double leakTempFactor(double temp_k) const PPEP_NONBLOCKING;
+    /** @p table's entry for @p voltage; nullptr when not tabulated. */
+    static const VoltTerms *lookup(const std::vector<VoltTerms> &table,
+                                   double voltage) PPEP_NONBLOCKING;
+    /** cuIdlePower() given the tick's leakage temperature factor. */
+    double cuIdleAt(double voltage, double freq_ghz,
+                    double temp_factor) const PPEP_NONBLOCKING;
+    /** nbStaticPower() given the tick's leakage temperature factor. */
+    double nbStaticAt(const VfState &nb_vf,
+                      double temp_factor) const PPEP_NONBLOCKING;
+
     const ChipConfig &cfg_;
     double vref_;    ///< Core reference voltage (top VF state).
     double nb_vref_; ///< NB reference voltage (stock NB point).
+    /** P-state and boost voltages (core reference). */
+    std::vector<VoltTerms> core_terms_;
+    /** NB operating voltages (NB reference; dyn unused). */
+    std::vector<VoltTerms> nb_terms_;
 };
 
 } // namespace ppep::sim

@@ -31,6 +31,29 @@ struct CoreDemand
     double f_ghz = 0.0;
 };
 
+/**
+ * One busy core's terms that stay constant across every iteration of a
+ * tick's contention fixed point, evaluated once per tick by
+ * NorthBridge::resolveInto(). Each is the exact expression a round
+ * would otherwise evaluate in place, so no result bit depends on the
+ * hoisting.
+ */
+struct NbDemandTerms
+{
+    /** l3LatencyNs() * (1 - miss): the L3-hit share of the latency. */
+    double l3_hit_ns = 0.0;
+    /** L3 miss ratio dram_per_inst / l3_per_inst (0 without L3 traffic). */
+    double miss = 0.0;
+    /** Leading loads per instruction. */
+    double leading_per_inst = 0.0;
+    /** Core clock, GHz. */
+    double f_ghz = 0.0;
+    /** Core CPI without memory time. */
+    double ccpi = 0.0;
+    /** DRAM accesses per instruction. */
+    double dram_per_inst = 0.0;
+};
+
 /** Resolved contention state for one tick. */
 struct NbResolution
 {
@@ -40,6 +63,8 @@ struct NbResolution
     double utilization = 0.0;
     /** Queueing inflation factor applied to DRAM latency (>= 1). */
     double queue_factor = 1.0;
+    /** Per-demand iteration invariants (resolveInto() scratch). */
+    std::vector<NbDemandTerms> terms;
 };
 
 /**
@@ -77,8 +102,10 @@ class NorthBridge
     NbResolution resolve(const std::vector<CoreDemand> &demands) const;
 
     /**
-     * resolve() into a caller-owned result, reusing its latency buffer —
-     * the allocation-free per-tick path.
+     * resolve() into a caller-owned result, reusing its latency and
+     * term buffers — the allocation-free per-tick path. Each demand's
+     * iteration invariants (NB latencies, miss ratio) are evaluated
+     * once per call, so an iteration costs one division per core.
      */
     void resolveInto(const std::vector<CoreDemand> &demands,
                      NbResolution &res) const PPEP_NONBLOCKING;

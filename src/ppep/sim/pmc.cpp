@@ -43,14 +43,18 @@ void
 PmcBank::program(std::size_t slot, std::optional<Event> event)
 {
     PPEP_ASSERT(slot < slots_.size(), "slot ", slot, " out of range");
-    slots_[slot].event = event;
+    slots_[slot].event =
+        event ? static_cast<int>(eventIndex(*event)) : kDisabled;
 }
 
 std::optional<Event>
 PmcBank::programmed(std::size_t slot) const
 {
     PPEP_ASSERT(slot < slots_.size(), "slot ", slot, " out of range");
-    return slots_[slot].event;
+    const int e = slots_[slot].event;
+    if (e == kDisabled)
+        return std::nullopt;
+    return static_cast<Event>(e);
 }
 
 double
@@ -72,9 +76,9 @@ void
 PmcBank::observe(const EventVector &true_counts) PPEP_NONBLOCKING
 {
     for (auto &slot : slots_) {
-        if (!slot.event)
+        if (slot.event == kDisabled)
             continue;
-        slot.count += true_counts[eventIndex(*slot.event)];
+        slot.count += true_counts[static_cast<std::size_t>(slot.event)];
         if (wrap_modulus_ > 0.0) {
             // Finite-width counters lose their high bits on overflow,
             // exactly like a real 48-bit PERF_CTR rolling over.
@@ -95,6 +99,9 @@ PmcMultiplexer::PmcMultiplexer(PmcBank &bank, std::vector<Event> events,
 {
     PPEP_ASSERT(!events_.empty(), "multiplexer needs events");
     group_ticks_.assign(n_groups_, 0);
+    group_rows_.assign(n_groups_ * bank_.counterCount(), PmcBank::kDisabled);
+    for (std::size_t i = 0; i < events_.size(); ++i)
+        group_rows_[i] = static_cast<int>(eventIndex(events_[i]));
     programCurrentGroup();
 }
 
@@ -109,30 +116,31 @@ PmcMultiplexer::groupOf(Event e) const
 }
 
 void
-PmcMultiplexer::programCurrentGroup()
+PmcMultiplexer::programCurrentGroup() PPEP_NONBLOCKING
 {
-    const std::size_t width = bank_.counterCount();
-    const std::size_t lo = current_group_ * width;
+    // Select the group's events and clear every slot: the row is laid
+    // out in slot order, so slot s counts the group's s-th event.
+    const std::size_t width = bank_.slots_.size();
+    const int *row = group_rows_.data() + current_group_ * width;
+    PmcBank::Slot *slots = bank_.slots_.data();
     for (std::size_t s = 0; s < width; ++s) {
-        const std::size_t idx = lo + s;
-        bank_.program(s, idx < events_.size()
-                             ? std::optional<Event>(events_[idx])
-                             : std::nullopt);
-        bank_.write(s, 0.0);
+        slots[s].event = row[s];
+        slots[s].count = 0.0;
     }
 }
 
 void
 PmcMultiplexer::afterTick() PPEP_NONBLOCKING
 {
-    // Harvest what the hardware just counted for the active group.
-    const std::size_t width = bank_.counterCount();
-    const std::size_t lo = current_group_ * width;
-    for (std::size_t s = 0; s < width; ++s) {
-        const std::size_t idx = lo + s;
-        if (idx < events_.size())
-            accum_[eventIndex(events_[idx])] += bank_.read(s);
-    }
+    // Harvest what the hardware just counted for the active group, in
+    // slot order. The row (not the slot's current select) names the
+    // event, exactly as the group was programmed.
+    const std::size_t width = bank_.slots_.size();
+    const int *row = group_rows_.data() + current_group_ * width;
+    const PmcBank::Slot *slots = bank_.slots_.data();
+    for (std::size_t s = 0; s < width; ++s)
+        if (row[s] != PmcBank::kDisabled)
+            accum_[static_cast<std::size_t>(row[s])] += slots[s].count;
     ++group_ticks_[current_group_];
     ++total_ticks_;
     current_group_ = (current_group_ + 1) % n_groups_;
@@ -142,11 +150,17 @@ PmcMultiplexer::afterTick() PPEP_NONBLOCKING
 EventVector
 PmcMultiplexer::readAndReset() PPEP_NONBLOCKING
 {
+    // Walk the group rows in event-list order (group-major, slot-minor).
     EventVector out{};
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        const std::size_t g = i / bank_.counterCount();
-        if (group_ticks_[g] > 0) {
-            const std::size_t e = eventIndex(events_[i]);
+    const std::size_t width = bank_.slots_.size();
+    for (std::size_t g = 0; g < n_groups_; ++g) {
+        if (group_ticks_[g] == 0)
+            continue;
+        const int *row = group_rows_.data() + g * width;
+        for (std::size_t s = 0; s < width; ++s) {
+            if (row[s] == PmcBank::kDisabled)
+                continue;
+            const auto e = static_cast<std::size_t>(row[s]);
             out[e] = accum_[e] * static_cast<double>(total_ticks_) /
                      static_cast<double>(group_ticks_[g]);
         }

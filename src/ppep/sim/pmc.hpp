@@ -84,9 +84,16 @@ class PmcBank
     void observe(const EventVector &true_counts) PPEP_NONBLOCKING;
 
   private:
+    /** The multiplexer reprograms and harvests the raw slots directly. */
+    friend class PmcMultiplexer;
+
+    /** No event selected: the slot is disabled. */
+    static constexpr int kDisabled = -1;
+
     struct Slot
     {
-        std::optional<Event> event;
+        /** eventIndex() of the selected event, or kDisabled. */
+        int event = kDisabled;
         double count = 0.0;
     };
     std::vector<Slot> slots_;
@@ -121,7 +128,7 @@ class PmcMultiplexer
      * Program the bank for the current group. Call before the tick the
      * group should observe.
      */
-    void programCurrentGroup();
+    void programCurrentGroup() PPEP_NONBLOCKING;
 
     /**
      * Harvest the just-observed group's counts from the bank and rotate
@@ -150,6 +157,9 @@ class PmcMultiplexer
     PmcBank &bank_;
     std::vector<Event> events_;
     std::size_t n_groups_;
+    /** Slot program of every group: counterCount() event indices per
+     *  group, PmcBank::kDisabled where the event list runs out. */
+    std::vector<int> group_rows_;
     std::size_t current_group_;
     std::size_t total_ticks_ = 0;
     EventVector accum_{};

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <ostream>
 #include <streambuf>
@@ -29,6 +30,7 @@
 #include "ppep/runtime/telemetry.hpp"
 #include "ppep/runtime/tenant.hpp"
 #include "ppep/sim/chip.hpp"
+#include "ppep/sim/fault.hpp"
 #include "ppep/trace/collector.hpp"
 #include "ppep/workloads/suite.hpp"
 
@@ -414,6 +416,65 @@ TEST(ZeroAlloc, ArbiterGatherDecideIsAllocationFreeOnceConfigured)
         g_counting.store(false, std::memory_order_relaxed);
         EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u)
             << "interval " << i;
+    }
+}
+
+/**
+ * Warm Chip::stepInto() — NB fixed-point terms, PMC group rows, the
+ * activity-factor memo, tabulated power terms — allocates nothing, on
+ * every platform shape: power-gated FX-8320 (CUs and the NB gate as
+ * jobs come and go), Phenom II, and boost requests the hardware grants
+ * and clamps. The counted ticks cross VF changes (boost requests
+ * included), NB VF changes and interval-boundary PMC reads.
+ */
+TEST(ZeroAlloc, ChipStepIntoIsAllocationFreeOnceWarm)
+{
+    struct Case
+    {
+        const char *name;
+        sim::ChipConfig cfg;
+        bool pg;
+    };
+    const std::vector<Case> cases = {
+        {"fx8320+pg", sim::fx8320Config(), true},
+        {"phenom2", sim::phenomIIConfig(), false},
+        {"fx8320+boost+pg", sim::fx8320ConfigWithBoost(), true},
+        {"fx8320+faults", sim::fx8320Config(), true},
+    };
+    for (const Case &c : cases) {
+        sim::Chip chip(c.cfg, 5);
+        chip.setPowerGatingEnabled(c.pg);
+        if (std::string(c.name) == "fx8320+faults")
+            chip.setFaultPlan(
+                sim::FaultPlan::parse("msr=0.05,wrap=24,saturate=0.02,"
+                                      "mux=0.05,vf_delay=0.2,"
+                                      "vf_reject=0.1,power_drift=1e-3"),
+                3);
+        // Two programs on separate CUs; with PG the idle CUs stay gated.
+        workloads::launch(chip, workloads::replicate("470.lbm", 2), true);
+        const std::size_t n_states = chip.stateCount();
+        sim::TickResult res;
+        const auto interval = [&](std::size_t i) {
+            chip.setAllVf((n_states - 1 + i) % n_states);
+            if (i % 7 == 3)
+                chip.setNbVf(i % 2 ? c.cfg.nb.vf_lo : c.cfg.nb.vf_hi);
+            for (std::size_t t = 0; t < 10; ++t)
+                chip.stepInto(res);
+            for (std::size_t k = 0; k < c.cfg.coreCount(); ++k) {
+                sim::EventVector ev{};
+                (void)chip.tryReadPmc(k, ev);
+            }
+        };
+        for (std::size_t i = 0; i < 10; ++i) // warm every buffer
+            interval(i);
+        for (std::size_t i = 10; i < 40; ++i) {
+            g_news.store(0, std::memory_order_relaxed);
+            g_counting.store(true, std::memory_order_relaxed);
+            interval(i);
+            g_counting.store(false, std::memory_order_relaxed);
+            EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u)
+                << c.name << " interval " << i;
+        }
     }
 }
 

@@ -20,6 +20,14 @@ knows about:
                I/O — blocking belongs behind the AsyncTelemetrySink
                boundary, never inside the governing loop.
 
+  hot-state    `thread_local` and non-const function-local `static`
+               variables are banned in HOT_FILES: a per-tick cache kept
+               there is hidden state shared by every session a worker
+               thread steps, so results would depend on scheduling.
+               Tick caches live in per-chip members or caller-owned
+               scratch; `static const` / `static constexpr` tables are
+               fine.
+
   rt-escape    every PPEP_RT_WARMUP_BEGIN / PPEP_RT_OPAQUE_BEGIN must
                carry a `rt-escape:` justification comment within the
                four lines above it. A bare escape is a lie waiting to
@@ -180,6 +188,17 @@ SEED_RE = re.compile(
     r"\b(std::random_device|srand\s*\(|system_clock"
     r"|time\s*\(\s*(?:nullptr|NULL|0)\s*\))")
 
+THREAD_LOCAL_RE = re.compile(r"\bthread_local\b")
+# `static` as a storage class (static_cast / static_assert do not match).
+STATIC_RE = re.compile(r"\bstatic\b")
+# A static whose leading specifiers make it immutable (west const).
+STATIC_CONST_RE = re.compile(
+    r"\b(?:(?:const|constexpr)\s+static"
+    r"|static\s+(?:const|constexpr|constinit\s+const))\b")
+# What opens a non-function scope: the text before its `{`.
+NON_FUNCTION_SCOPE_RE = re.compile(
+    r"\b(namespace|class|struct|union|enum)\b|extern\s+\"C\"")
+
 ESCAPE_RE = re.compile(r"PPEP_RT_(WARMUP|OPAQUE)_BEGIN")
 ESCAPE_JUSTIFY_RE = re.compile(r"rt-escape:")
 NOLINT_RE = re.compile(r"NOLINT(NEXTLINE)?(\(([^)]*)\))?(.*)")
@@ -247,6 +266,80 @@ def check_hot_files(path: Path, rp: str, lines: list[str], out: list):
                                f"'{token}' on the warm-interval hot "
                                "path; blocking belongs behind the async "
                                "telemetry boundary"))
+
+
+def strip_comments_and_strings(lines: list[str]) -> list[str]:
+    """Blank out comments and string/char literals, keeping line count."""
+    out = []
+    in_block = False
+    for raw in lines:
+        buf = []
+        i = 0
+        while i < len(raw):
+            if in_block:
+                end = raw.find("*/", i)
+                if end < 0:
+                    i = len(raw)
+                else:
+                    in_block = False
+                    i = end + 2
+                continue
+            c = raw[i]
+            if raw.startswith("//", i):
+                break
+            if raw.startswith("/*", i):
+                in_block = True
+                i += 2
+                continue
+            if c in "\"'":
+                j = i + 1
+                while j < len(raw) and raw[j] != c:
+                    j += 2 if raw[j] == "\\" else 1
+                buf.append(c + c)
+                i = j + 1
+                continue
+            buf.append(c)
+            i += 1
+        out.append("".join(buf))
+    return out
+
+
+def check_hot_state(path: Path, rp: str, lines: list[str], out: list):
+    if rp not in HOT_FILES:
+        return
+    # Track what kind of scope each `{` opens: namespace/class bodies
+    # (statics there are members or globals, not tick caches) versus
+    # function bodies and every block nested in one. Each stretch of
+    # code between braces is checked against the scope it sits in.
+    scopes: list[bool] = []  # True = inside a function body
+    pending = ""  # code since the last `;`, `{` or `}`
+    for i, line in enumerate(strip_comments_and_strings(lines), 1):
+        for part in re.split(r"([{}])", line):
+            if part == "{":
+                scopes.append((bool(scopes) and scopes[-1])
+                              or not NON_FUNCTION_SCOPE_RE.search(pending))
+                pending = ""
+                continue
+            if part == "}":
+                if scopes:
+                    scopes.pop()
+                pending = ""
+                continue
+            in_function = bool(scopes) and scopes[-1]
+            if THREAD_LOCAL_RE.search(part):
+                out.append(Finding(path, i, "hot-state",
+                                   "'thread_local' on the hot path is "
+                                   "hidden cross-session state; keep "
+                                   "caches in per-chip members or "
+                                   "scratch"))
+            elif (in_function and STATIC_RE.search(part)
+                  and not STATIC_CONST_RE.search(part)):
+                out.append(Finding(path, i, "hot-state",
+                                   "non-const function-local 'static' "
+                                   "on the hot path is hidden "
+                                   "cross-session state; keep caches "
+                                   "in per-chip members or scratch"))
+            pending = (pending + " " + part).rsplit(";", 1)[-1]
 
 
 def check_rt_escape(path: Path, rp: str, lines: list[str], out: list):
@@ -419,7 +512,8 @@ def check_seed(path: Path, rp: str, lines: list[str], out: list):
                                "only, never digested)"))
 
 
-RULES = [check_formatting, check_alloc, check_hot_files, check_rt_escape,
+RULES = [check_formatting, check_alloc, check_hot_files, check_hot_state,
+         check_rt_escape,
          check_nolint, check_guards, check_model_docs, check_raw_sync,
          check_unordered_iter, check_fp_contract, check_seed]
 
