@@ -10,9 +10,9 @@
  *     (FX-8320, Phenom II, FX-8320 NB-DVFS) with two tenants sharing
  *     the first FX chip — one model-registry entry per platform,
  *     per-tenant attribution columns in the telemetry stream;
- *   - batched: the same homogeneous fleet driven through one SoA
- *     sim::ChipBatch SIMD pass — digests must replay the scalar
- *     serial run bit for bit;
+ *   - batched: the same homogeneous fleet stepped tick-locked through
+ *     one sim::ChipBatch (interleaved NB solve) — digests must replay
+ *     the scalar serial run bit for bit;
  *   - replay: the homogeneous fleet recorded once at simulation speed,
  *     then re-driven from the memory-mapped trace with zero simulation
  *     — the governing-pipeline throughput with the simulator factored
@@ -370,8 +370,8 @@ main(int argc, char **argv)
         runScenario(hetero, "fleet_hetero", json);
     bool all_match = homo_res.all_match && hetero_res.all_match;
 
-    // Batched SoA drive: the same homogeneous fleet stepped through
-    // one sim::ChipBatch SIMD pass on the calling thread. Digests must
+    // Tick-locked drive: the same homogeneous fleet stepped through
+    // one sim::ChipBatch on the calling thread. Digests must
     // reproduce the scalar serial run bit for bit.
     {
         runtime::FleetSpec bspec = makeHomoSpec(n_sessions, quick);
@@ -391,8 +391,8 @@ main(int argc, char **argv)
             match &= res.sessions[i].telemetry_digest ==
                      homo_res.serial_digests[i];
         all_match &= match;
-        std::printf("\nbatched SoA drive: %.1f intervals/s, digests "
-                    "%s\n",
+        std::printf("\ntick-locked batched drive: %.1f intervals/s, "
+                    "digests %s\n",
                     res.intervals_per_s,
                     match ? "bit-identical" : "MISMATCH");
         json.add("fleet_batched", "intervals_per_s",

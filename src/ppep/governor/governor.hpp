@@ -169,7 +169,7 @@ class GovernorLoop
     std::size_t drive(std::size_t intervals, const CapSchedule &schedule,
                       const StepObserver &observer = nullptr);
 
-    // Split cycle for external drivers (the batched fleet, replay):
+    // Split cycle for external drivers (the lockstep fleet, replay):
     // cycleBegin + "run the interval into step.rec however you like" +
     // cycleDecide is exactly cycle() — the private fused path is these
     // two calls with source.collectIntervalInto(step.rec) between them.

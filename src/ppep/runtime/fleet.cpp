@@ -47,10 +47,6 @@ Fleet::Fleet(FleetSpec spec) : spec_(std::move(spec))
                    "use batched or replay_path, not both");
     if (!spec_.replay_path.empty() && !spec_.record_path.empty())
         PPEP_FATAL("a fleet cannot record and replay at once");
-    if (spec_.arbiter && spec_.batched)
-        PPEP_FATAL("the arbitrated drive and the batched SIMD drive "
-                   "are separate locksteps; use arbiter or batched, "
-                   "not both");
     for (std::size_t i = 0; i < spec_.sessions.size(); ++i)
         if (spec_.sessions[i].name.empty())
             spec_.sessions[i].name = "s" + std::to_string(i);
@@ -297,10 +293,10 @@ Fleet::run(std::size_t n_threads)
         replay_file_ =
             std::make_unique<trace::ReplayFile>(spec_.replay_path);
 
-    if (spec_.batched)
-        return runBatched();
     if (spec_.arbiter)
         return runArbitrated(n_threads);
+    if (spec_.batched)
+        return runBatched();
 
     const std::size_t workers =
         std::clamp<std::size_t>(n_threads, 1, n_sessions);
@@ -337,30 +333,53 @@ Fleet::run(std::size_t n_threads)
     return out;
 }
 
-FleetResult
-Fleet::runBatched()
+void
+LockstepSlice::add(Session::LockstepDriver &driver)
+{
+    drivers_.push_back(&driver);
+    ticks_.push_back(0);
+    batch_.attach(driver.chip());
+}
+
+void
+LockstepSlice::collect()
+{
+    // Lane l of the batch is drivers_[l]'s chip.
+    std::size_t max_ticks = 0;
+    for (std::size_t l = 0; l < drivers_.size(); ++l) {
+        ticks_[l] = drivers_[l]->beginCollect();
+        batch_.setActive(l, true);
+        max_ticks = std::max(max_ticks, ticks_[l]);
+    }
+    for (std::size_t t = 0; t < max_ticks; ++t) {
+        for (std::size_t l = 0; l < drivers_.size(); ++l)
+            if (ticks_[l] == t)
+                batch_.setActive(l, false);
+        batch_.step();
+        for (std::size_t l = 0; l < drivers_.size(); ++l)
+            if (t < ticks_[l])
+                drivers_[l]->consumeTick(batch_.result(l));
+    }
+    for (Session::LockstepDriver *d : drivers_)
+        d->endCollect();
+}
+
+void
+Fleet::buildDrivers(
+    std::vector<std::unique_ptr<Harness>> &harnesses,
+    std::vector<std::optional<Session::LockstepDriver>> &drivers,
+    std::vector<clock::time_point> &started)
 {
     const std::size_t n_sessions = spec_.sessions.size();
-    FleetResult out;
-    out.sessions.resize(n_sessions);
-    const auto t0 = clock::now();
-
-    // Build every harness on this thread, attach its chip to the batch.
-    // A session that fails to build is recorded and left out of the
-    // lockstep; its lane is never allocated.
-    std::vector<std::unique_ptr<Harness>> harnesses(n_sessions);
-    std::vector<std::optional<Session::BatchDriver>> drivers(n_sessions);
-    std::vector<clock::time_point> started(n_sessions);
-    sim::ChipBatch batch;
-    constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> lane_of(n_sessions, kNoLane);
+    harnesses.resize(n_sessions);
+    drivers.resize(n_sessions);
+    started.resize(n_sessions);
     for (std::size_t i = 0; i < n_sessions; ++i) {
         started[i] = clock::now();
         harnesses[i] = std::make_unique<Harness>();
         try {
             buildHarness(i, *harnesses[i]);
             drivers[i].emplace(*harnesses[i]->session);
-            lane_of[i] = batch.attach(drivers[i]->chip());
         } catch (const std::exception &e) {
             harnesses[i]->res.error = e.what();
             drivers[i].reset();
@@ -369,35 +388,36 @@ Fleet::runBatched()
             drivers[i].reset();
         }
     }
+}
 
-    // The lockstep: open the interval on every session, step all chips
-    // tick-locked through the batch, fan each tick result back, close.
-    // Fault-jittered sessions may run short intervals; their lanes go
-    // inactive for the tail ticks, exactly as if they had stopped
-    // stepping their own chip.
-    std::vector<std::size_t> ticks(n_sessions, 0);
+FleetResult
+Fleet::runBatched()
+{
+    const std::size_t n_sessions = spec_.sessions.size();
+    FleetResult out;
+    out.sessions.resize(n_sessions);
+    const auto t0 = clock::now();
+
+    // Build every harness on this thread; a session that fails to
+    // build is recorded and left out of the lockstep.
+    std::vector<std::unique_ptr<Harness>> harnesses;
+    std::vector<std::optional<Session::LockstepDriver>> drivers;
+    std::vector<clock::time_point> started;
+    buildDrivers(harnesses, drivers, started);
+    LockstepSlice slice;
+    for (auto &d : drivers)
+        if (d)
+            slice.add(*d);
+
+    // The lockstep: collect every session tick-locked, then decide
+    // each one under the default cap limit — drive(), interval by
+    // interval.
     for (std::size_t interval = 0; interval < spec_.intervals;
          ++interval) {
-        std::size_t max_ticks = 0;
-        for (std::size_t i = 0; i < n_sessions; ++i) {
-            if (!drivers[i])
-                continue;
-            ticks[i] = drivers[i]->beginInterval();
-            batch.setActive(lane_of[i], true);
-            max_ticks = std::max(max_ticks, ticks[i]);
-        }
-        for (std::size_t t = 0; t < max_ticks; ++t) {
-            for (std::size_t i = 0; i < n_sessions; ++i)
-                if (drivers[i] && ticks[i] == t)
-                    batch.setActive(lane_of[i], false);
-            batch.step();
-            for (std::size_t i = 0; i < n_sessions; ++i)
-                if (drivers[i] && t < ticks[i])
-                    drivers[i]->consumeTick(batch.result(lane_of[i]));
-        }
-        for (std::size_t i = 0; i < n_sessions; ++i)
-            if (drivers[i])
-                drivers[i]->endInterval();
+        slice.collect();
+        for (auto &d : drivers)
+            if (d)
+                d->decidePhase();
     }
 
     for (std::size_t i = 0; i < n_sessions; ++i) {
@@ -427,24 +447,10 @@ Fleet::runArbitrated(std::size_t n_threads)
     // Build every harness on this thread; a session that fails to
     // build is recorded, excluded from the lockstep, and enters the
     // arbiter with priority 0 so it draws no budget.
-    std::vector<std::unique_ptr<Harness>> harnesses(n_sessions);
-    std::vector<std::optional<Session::LockstepDriver>> drivers(
-        n_sessions);
-    std::vector<clock::time_point> started(n_sessions);
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-        started[i] = clock::now();
-        harnesses[i] = std::make_unique<Harness>();
-        try {
-            buildHarness(i, *harnesses[i]);
-            drivers[i].emplace(*harnesses[i]->session);
-        } catch (const std::exception &e) {
-            harnesses[i]->res.error = e.what();
-            drivers[i].reset();
-        } catch (...) {
-            harnesses[i]->res.error = "unknown exception";
-            drivers[i].reset();
-        }
-    }
+    std::vector<std::unique_ptr<Harness>> harnesses;
+    std::vector<std::optional<Session::LockstepDriver>> drivers;
+    std::vector<clock::time_point> started;
+    buildDrivers(harnesses, drivers, started);
 
     std::vector<FleetArbiter::SessionSetup> setups(n_sessions);
     std::vector<std::size_t> live;
@@ -509,18 +515,26 @@ Fleet::runArbitrated(std::size_t n_threads)
         ++interval;
     };
 
+    // One contiguous slice of the live sessions per worker, each
+    // stepping its chips tick-locked through its own batch; built
+    // before the threads start, so workers only step.
+    std::vector<LockstepSlice> slices(workers);
+    for (std::size_t w = 0; w < workers; ++w)
+        for (std::size_t k = live.size() * w / workers;
+             k < live.size() * (w + 1) / workers; ++k)
+            slices[w].add(*drivers[live[k]]);
+
     if (!live.empty()) {
         std::barrier bar(static_cast<std::ptrdiff_t>(workers),
                          arbitrate);
         auto work = [&](std::size_t w) {
-            // Contiguous slice of the live sessions for this worker.
             const std::size_t lo = live.size() * w / workers;
             const std::size_t hi = live.size() * (w + 1) / workers;
             for (std::size_t iv = 0; iv < spec_.intervals; ++iv) {
+                slices[w].collect();
                 for (std::size_t k = lo; k < hi; ++k) {
                     const std::size_t i = live[k];
                     auto &d = *drivers[i];
-                    d.collectPhase();
                     const auto *ex = d.exploration();
                     arbiter->gather(
                         i, ex ? ex->data() : nullptr,

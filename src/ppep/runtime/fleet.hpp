@@ -28,6 +28,7 @@
 #ifndef PPEP_RUNTIME_FLEET_HPP
 #define PPEP_RUNTIME_FLEET_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -121,11 +122,13 @@ struct FleetSpec
      *  writes happen off the governing thread. */
     bool async_telemetry = false;
     /**
-     * Step every session's chip through one SoA sim::ChipBatch on the
-     * calling thread instead of per-session scalar loops. Telemetry is
-     * bit-identical to the per-session path (any thread count) — the
-     * batch's per-lane arithmetic is the scalar step's, reordered
-     * across lanes only. Incompatible with replay_path.
+     * Step every session's chip tick-locked through one
+     * sim::ChipBatch on the calling thread instead of per-session
+     * scalar loops. Telemetry is bit-identical to the per-session path
+     * (any thread count) — the batch runs each chip's scalar tick,
+     * with the chips' NB fixed points solved interleaved. Incompatible
+     * with replay_path. An arbitrated fleet is always tick-locked, so
+     * the flag changes nothing there.
      */
     bool batched = false;
     /** When non-empty, record every session's governed interval stream
@@ -141,8 +144,9 @@ struct FleetSpec
      * every session in lockstep and a BudgetArbiter (or the iterative
      * baseline) redistributes per-session caps from the sessions' own
      * per-VF predictions on a deterministic barrier every interval.
-     * Telemetry stays bit-identical at any thread count. Incompatible
-     * with batched (the SoA chip lockstep is a separate drive).
+     * Each worker steps its slice of the sessions tick-locked through
+     * its own sim::ChipBatch. Telemetry stays bit-identical at any
+     * thread count.
      */
     std::optional<ArbiterSpec> arbiter;
     /** The sessions to run. */
@@ -202,6 +206,33 @@ struct FleetResult
 };
 
 /**
+ * A set of sessions whose collect phases run tick-locked through one
+ * sim::ChipBatch: collect() is Session::LockstepDriver::collectPhase()
+ * on every driver, bit for bit, with every tick's NB fixed points
+ * solved in one interleaved pass. A fault-jittered session whose
+ * interval runs out of ticks before its peers' has its lane
+ * deactivated for the tail ticks, exactly as if it had stopped
+ * stepping its own chip; a replayed session asks for zero ticks.
+ */
+class LockstepSlice
+{
+  public:
+    /** Add a driver (cold; attaches its chip as a batch lane). The
+     *  driver must outlive the slice. */
+    void add(Session::LockstepDriver &driver);
+
+    /** Open, tick-step and close one collect phase on every driver,
+     *  in add() order. Allocation-free once warm. */
+    void collect();
+
+  private:
+    std::vector<Session::LockstepDriver *> drivers_;
+    /** This interval's tick count per driver. */
+    std::vector<std::size_t> ticks_;
+    sim::ChipBatch batch_;
+};
+
+/**
  * Runs a FleetSpec on a fixed-size worker pool. Workers pull session
  * indices from a shared atomic counter; each session is built, driven
  * and torn down entirely on one worker. A session that throws is
@@ -256,8 +287,8 @@ class Fleet
         std::optional<model::Ppep> ppep;
     };
 
-    /** Per-session sinks + session, shared by the scalar and batched
-     *  drive paths (defined in fleet.cpp). */
+    /** Per-session sinks + session, shared by the free-pool and
+     *  lockstep drive paths (defined in fleet.cpp). */
     struct Harness;
 
     FleetSessionResult runOne(std::size_t index);
@@ -265,9 +296,16 @@ class Fleet
     void buildHarness(std::size_t index, Harness &h);
     /** Close sinks and collect the session's outcome into h.res. */
     void finishHarness(Harness &h);
-    /** The lockstep ChipBatch drive (spec_.batched). */
+    /** Build every session's harness and lockstep driver on the
+     *  calling thread; a session that fails to build keeps its error
+     *  in its harness and gets no driver. */
+    void buildDrivers(
+        std::vector<std::unique_ptr<Harness>> &harnesses,
+        std::vector<std::optional<Session::LockstepDriver>> &drivers,
+        std::vector<std::chrono::steady_clock::time_point> &started);
+    /** The tick-locked single-thread drive (spec_.batched). */
     FleetResult runBatched();
-    /** The barrier-arbitrated lockstep drive (spec_.arbiter). */
+    /** The barrier-arbitrated tick-locked drive (spec_.arbiter). */
     FleetResult runArbitrated(std::size_t n_threads);
     /** Rollup + throughput + record-file assembly shared by both
      *  drive paths. */

@@ -120,7 +120,7 @@ class Sampler : public trace::TickedIntervalSource
     void collectIntervalInto(trace::IntervalRecord &rec) PPEP_NONBLOCKING
         override;
 
-    // Split interval protocol for the batched fleet driver; the fused
+    // Split interval protocol for the tick-locked fleet drives; the fused
     // path above is these three calls with the chip stepped between
     // them (bit-identical by construction). beginIntervalInto() also
     // draws the fault injector's interval jitter, so it must run

@@ -98,9 +98,9 @@ struct Session::State
     trace::ReplaySource *replay = nullptr;
     double replay_time_s = 0.0;
     SampleHealth replay_health;
-    /** Plain sessions' splittable source for the batched fleet drive
-     *  (hardened sessions use their Sampler). */
-    std::optional<trace::Collector> batch_collector;
+    /** Plain sessions' splittable source for the lockstep fleet
+     *  drives (hardened sessions use their Sampler). */
+    std::optional<trace::Collector> lockstep_collector;
 
     /** The health record the current interval was observed with:
      *  decoded from the replay frame, or the live Sampler's. Only
@@ -695,59 +695,9 @@ Session::tickedSource()
     auto &s = *state_;
     if (s.sampler)
         return *s.sampler;
-    if (!s.batch_collector)
-        s.batch_collector.emplace(*s.chip);
-    return *s.batch_collector;
-}
-
-Session::BatchDriver::BatchDriver(Session &session)
-    : session_(session),
-      loop_(*session.state_->chip, *session.state_->gov),
-      observer_(session.makeObserver())
-{
-    PPEP_ASSERT(session.state_->replay == nullptr,
-                "a replay session has no chip to batch-step");
-    session.warmupIfNeeded();
-    source_ = &session.tickedSource();
-}
-
-sim::Chip &
-Session::BatchDriver::chip()
-{
-    return *session_.state_->chip;
-}
-
-std::size_t
-Session::BatchDriver::beginInterval() PPEP_NONBLOCKING
-{
-    loop_.cycleBegin(index_, session_.state_->schedule, step_);
-    return source_->beginIntervalInto(step_.rec);
-}
-
-void
-Session::BatchDriver::consumeTick(const sim::TickResult &tick)
-    PPEP_NONBLOCKING
-{
-    source_->consumeTick(step_.rec, tick);
-}
-
-void
-Session::BatchDriver::endInterval()
-{
-    source_->finishIntervalInto(step_.rec);
-    double latency_s = 0.0;
-    loop_.cycleDecide(index_, session_.state_->schedule, step_,
-                      next_vf_, latency_s);
-    // The observer hand-off lives outside the annotated region, same
-    // as run()/drive(): AsyncTelemetrySink blocks by design.
-    observer_(step_, latency_s);
-    ++index_;
-}
-
-void
-Session::BatchDriver::finish()
-{
-    session_.finishSinks();
+    if (!s.lockstep_collector)
+        s.lockstep_collector.emplace(*s.chip);
+    return *s.lockstep_collector;
 }
 
 Session::LockstepDriver::LockstepDriver(Session &session)
@@ -760,18 +710,50 @@ Session::LockstepDriver::LockstepDriver(Session &session)
         source_ = &session.tickedSource();
 }
 
+sim::Chip &
+Session::LockstepDriver::chip()
+{
+    return *session_.state_->chip;
+}
+
 void
 Session::LockstepDriver::collectPhase()
+{
+    auto &s = *session_.state_;
+    if (s.replay) {
+        beginCollect();
+        return;
+    }
+    loop_.cycleBegin(index_, s.schedule, step_);
+    source_->collectIntervalInto(step_.rec);
+}
+
+std::size_t
+Session::LockstepDriver::beginCollect()
 {
     auto &s = *session_.state_;
     if (s.replay) {
         session_.replayFrameInto(
             step_, index_,
             std::min(s.schedule.capAt(index_), loop_.capLimit()));
-        return;
+        return 0;
     }
     loop_.cycleBegin(index_, s.schedule, step_);
-    source_->collectIntervalInto(step_.rec);
+    return source_->beginIntervalInto(step_.rec);
+}
+
+void
+Session::LockstepDriver::consumeTick(const sim::TickResult &tick)
+    PPEP_NONBLOCKING
+{
+    source_->consumeTick(step_.rec, tick);
+}
+
+void
+Session::LockstepDriver::endCollect() PPEP_NONBLOCKING
+{
+    if (source_ != nullptr)
+        source_->finishIntervalInto(step_.rec);
 }
 
 void

@@ -199,7 +199,7 @@ class Session
          * at ReplaySource construction), and the recorded caps must
          * match this session's schedule (checked per interval). Warm-up
          * is skipped: the recording already warmed the run it captured.
-         * Replay sessions support drive() only.
+         * Replay sessions support drive() and LockstepDriver only.
          */
         Builder &replay(trace::ReplaySource &src);
 
@@ -250,55 +250,10 @@ class Session
     };
 
     /**
-     * Splits one governed interval into begin / consumeTick-per-tick /
-     * end so an external driver (runtime::Fleet's batched mode) can
-     * step many sessions' chips tick-locked through one
-     * sim::ChipBatch. The sequence
-     *
-     *     n = d.beginInterval();
-     *     repeat n times { batch.step(); d.consumeTick(batch result); }
-     *     d.endInterval();
-     *
-     * is bit-identical to one interval of Session::drive(): begin and
-     * end wrap the same GovernorLoop cycle halves and the same
-     * TickedIntervalSource calls the fused path is made of, and the
-     * telemetry observer runs inside endInterval() exactly as drive()
-     * runs it. Construction runs the session's warm-up (scalar).
-     */
-    class BatchDriver
-    {
-      public:
-        explicit BatchDriver(Session &session);
-
-        /** The chip to attach to the ChipBatch. */
-        sim::Chip &chip();
-
-        /** Open interval; returns its tick count (may be jittered). */
-        std::size_t beginInterval() PPEP_NONBLOCKING;
-
-        /** Fold one batch-stepped tick into the open interval. */
-        void consumeTick(const sim::TickResult &tick) PPEP_NONBLOCKING;
-
-        /** Close the interval: decide, actuate, fan out telemetry. */
-        void endInterval();
-
-        /** End of run: finish()/flush() the session's sinks. */
-        void finish();
-
-      private:
-        Session &session_;
-        ppep::governor::GovernorLoop loop_;
-        ppep::governor::GovernorLoop::StepObserver observer_;
-        trace::TickedIntervalSource *source_ = nullptr;
-        ppep::governor::GovernorStep step_;
-        std::vector<std::size_t> next_vf_;
-        std::size_t index_ = 0;
-    };
-
-    /**
      * Splits one governed interval into a collect phase and a decide
-     * phase so an external arbiter (runtime::Fleet's budget drive) can
-     * sit between them on a barrier:
+     * phase so an external driver (runtime::Fleet's lockstep drives)
+     * can sit between them — an arbiter on a barrier, or a
+     * sim::ChipBatch stepping many sessions' chips tick-locked:
      *
      *     d.collectPhase();                 // measure the interval
      *     // barrier: arbiter reads exploration()/measuredPowerW()
@@ -306,20 +261,45 @@ class Session
      *     d.decidePhase();                  // decide, actuate, telemetry
      *
      * The two phases are exactly one interval of Session::drive() plus
-     * the movable cap limit: with the limit at +inf the sequence is
-     * bit-identical to drive(). Works for simulated, hardened, and
-     * replayed sessions alike (replay decodes recorded frames in the
-     * collect phase and re-checks the recorded cap against the
-     * schedule/limit pair). Construction runs the session's warm-up.
+     * the movable cap limit: with the limit left at its default the
+     * sequence is bit-identical to drive(). collectPhase() itself
+     * splits further, at the tick:
+     *
+     *     n = d.beginCollect();
+     *     repeat n times { step d.chip() into tick; d.consumeTick(tick); }
+     *     d.endCollect();
+     *
+     * is collectPhase() — the same TickedIntervalSource calls its fused
+     * path is made of, with the chip stepped by the caller (any
+     * stepper bit-identical to Chip::stepInto(), such as ChipBatch).
+     * Works for simulated, hardened, and replayed sessions alike:
+     * replay decodes the recorded frame in the collect phase, re-checks
+     * the recorded cap against the schedule/limit pair, and asks for
+     * zero ticks. Construction runs the session's warm-up.
      */
     class LockstepDriver
     {
       public:
         explicit LockstepDriver(Session &session);
 
+        /** The session's chip (a replay session's is never stepped). */
+        sim::Chip &chip();
+
         /** Open interval @p index: stamp cap context and measure (or
          *  decode the replay frame) into the step. */
         void collectPhase();
+
+        /** collectPhase() up to the first tick: stamp cap context and
+         *  open the interval. Returns the number of ticks to step and
+         *  consume (fault-jittered sessions may deviate from the
+         *  nominal; 0 for replay, which decodes its frame here). */
+        std::size_t beginCollect();
+
+        /** Fold one tick of this session's chip into the interval. */
+        void consumeTick(const sim::TickResult &tick) PPEP_NONBLOCKING;
+
+        /** Close the collect phase after the last consumeTick(). */
+        void endCollect() PPEP_NONBLOCKING;
 
         /** Close the interval: decide under the current cap limit,
          *  actuate, fan out telemetry, advance the index. */
@@ -345,7 +325,7 @@ class Session
         ppep::governor::GovernorLoop loop_;
         ppep::governor::GovernorLoop::StepObserver observer_;
         /** Null for replay sessions (frames come from the recording). */
-        trace::IntervalSource *source_ = nullptr;
+        trace::TickedIntervalSource *source_ = nullptr;
         ppep::governor::GovernorStep step_;
         std::vector<std::size_t> next_vf_;
         std::size_t index_ = 0;
@@ -434,12 +414,11 @@ class Session
      *  force at @p index). Shared by driveReplay and LockstepDriver. */
     void replayFrameInto(ppep::governor::GovernorStep &step,
                          std::size_t index, double want_cap_w);
-    /** The session's splittable source (Sampler or batch Collector). */
+    /** The session's splittable source (Sampler or lockstep Collector). */
     trace::TickedIntervalSource &tickedSource();
 
     std::unique_ptr<State> state_;
     friend class Builder;
-    friend class BatchDriver;
     friend class LockstepDriver;
 };
 

@@ -290,17 +290,24 @@ Chip::step()
 void
 Chip::stepInto(TickResult &res) PPEP_NONBLOCKING
 {
-    // Pure composition of the three phases — the scalar golden
+    // Pure composition of the tick's parts — the scalar golden
     // reference ChipBatch must match bit for bit.
-    stepPhaseA(res);
-    stepPhaseB(res, nullptr);
+    stepDemand();
+    nb_.resolveInto(scratch_.demands, scratch_.nb_res);
+    stepExecute(res);
+    stepPhaseB(res);
     stepPhaseC(res);
 }
 
-void
-Chip::stepPhaseA(TickResult &res) PPEP_NONBLOCKING
+NbBatchItem
+Chip::nbBatchItem() PPEP_NONBLOCKING
 {
-    const double dt = cfg_.tick_s;
+    return {&nb_, &scratch_.demands, &scratch_.nb_res};
+}
+
+void
+Chip::stepDemand() PPEP_NONBLOCKING
+{
     const std::size_t n_cores = cfg_.coreCount();
 
     // 0. Delayed P-state writes land once their latency expires.
@@ -345,8 +352,8 @@ Chip::stepPhaseA(TickResult &res) PPEP_NONBLOCKING
     PPEP_RT_WARMUP_END
     cuOperatingPoints(cu_freq.data(), cu_volt.data());
 
-    // 3. Effective rates for busy cores, then the NB contention fixed
-    //    point across all of them.
+    // 3. Effective rates for busy cores: the demands of the NB
+    //    contention fixed point the caller solves next.
     std::vector<PerInstRates> &rates = scratch_.rates;
     // rt-escape: warm-up growth of per-tick scratch.
     PPEP_RT_WARMUP_BEGIN
@@ -370,8 +377,18 @@ Chip::stepPhaseA(TickResult &res) PPEP_NONBLOCKING
         demand_core.push_back(c);
         PPEP_RT_WARMUP_END
     }
+}
+
+void
+Chip::stepExecute(TickResult &res) PPEP_NONBLOCKING
+{
+    const double dt = cfg_.tick_s;
+    const std::size_t n_cores = cfg_.coreCount();
+    const std::vector<double> &cu_freq = scratch_.cu_freq;
+    const std::vector<PerInstRates> &rates = scratch_.rates;
+    const std::vector<CoreDemand> &demands = scratch_.demands;
+    const std::vector<std::size_t> &demand_core = scratch_.demand_core;
     const NbResolution &nb_res = scratch_.nb_res;
-    nb_.resolveInto(demands, scratch_.nb_res);
 
     // 4. Execute each busy core and advance its job.
     res.sensor_power_w = 0.0;
@@ -409,8 +426,7 @@ Chip::stepPhaseA(TickResult &res) PPEP_NONBLOCKING
 }
 
 void
-Chip::stepPhaseB(TickResult &res,
-                 const double *core_energy_nj) PPEP_NONBLOCKING
+Chip::stepPhaseB(TickResult &res) PPEP_NONBLOCKING
 {
     const double dt = cfg_.tick_s;
     const std::size_t n_cores = cfg_.coreCount();
@@ -436,7 +452,7 @@ Chip::stepPhaseB(TickResult &res,
     }
     hw_power_.computeInto(pins, cu_gated, nb_gated, cu_volt, cu_freq,
                           nb_.vf(), thermal_.temperature(), dt,
-                          res.truth.power, core_energy_nj);
+                          res.truth.power);
     if (injector_ && injector_->drifting()) {
         // Silicon aging: the whole true power decomposition wanders by
         // one multiplicative gain, so the trained models slowly go

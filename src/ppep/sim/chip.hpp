@@ -212,22 +212,32 @@ class Chip
     friend class ChipBatch;
 
     /**
-     * stepInto() split into three phases so ChipBatch can interleave
-     * many chips' ticks around one shared SIMD pricing pass.
-     * stepInto() == A, B(nullptr), C by construction (pure code
-     * motion), so the scalar path stays the golden reference.
+     * stepInto() split at its one call into the north bridge, so
+     * ChipBatch can solve many chips' NB fixed points interleaved:
      *
-     * A: VF landing, gating, rail resolution, NB contention, core
-     *    execution (fills res.truth.activity).
-     * B: ground-truth power; when @p core_energy_nj is non-null it
-     *    supplies each core's switched energy (nJ) instead of the
-     *    inline per-core loop — the batch kernel's output.
+     *     stepDemand(); nb_.resolveInto(demands, nb_res);
+     *     stepExecute(res); stepPhaseB(res); stepPhaseC(res);
+     *
+     * is stepInto() by construction, so the scalar path stays the
+     * golden reference.
+     *
+     * Demand: delayed VF writes land, gating, per-CU operating points,
+     *         and each busy core's effective rates (fills
+     *         scratch_.demands for the NB).
+     * Execute: core execution against the resolved latencies (fills
+     *          res.truth.activity).
+     * B: ground-truth power.
      * C: thermal advance, sensor/diode sampling, PMC tick.
      */
-    void stepPhaseA(TickResult &res) PPEP_NONBLOCKING;
-    void stepPhaseB(TickResult &res,
-                    const double *core_energy_nj) PPEP_NONBLOCKING;
+    void stepDemand() PPEP_NONBLOCKING;
+    void stepExecute(TickResult &res) PPEP_NONBLOCKING;
+    void stepPhaseB(TickResult &res) PPEP_NONBLOCKING;
     void stepPhaseC(TickResult &res) PPEP_NONBLOCKING;
+
+    /** This chip's NB fixed point as a batch item: the demands
+     *  stepDemand() fills and the resolution stepExecute() reads. */
+    NbBatchItem nbBatchItem() PPEP_NONBLOCKING;
+
     /** True when both cores of a CU are idle (no runnable job). */
     bool cuIdle(std::size_t cu) const PPEP_NONBLOCKING;
 
@@ -313,7 +323,7 @@ class Chip
         std::vector<double> act_factor;
         std::vector<CorePowerInput> pins;
         NbResolution nb_res;
-        /** NB gate state carried from phase A to phase B. */
+        /** NB gate state carried from the demand half to phase B. */
         bool nb_gated = false;
     };
     StepScratch scratch_;

@@ -1,7 +1,5 @@
 #include "ppep/sim/chip_batch.hpp"
 
-#include <algorithm>
-
 #include "ppep/util/logging.hpp"
 
 namespace ppep::sim {
@@ -10,21 +8,10 @@ std::size_t
 ChipBatch::attach(Chip &chip)
 {
     const std::size_t lane = lanes_.size();
-    const std::size_t n = chip.config().coreCount();
-    lanes_.push_back({&chip, total_cores_, n, true});
+    lanes_.push_back({&chip, chip.nbBatchItem(), true});
     results_.emplace_back();
-
-    const auto &p = chip.config().power;
-    const std::size_t total = total_cores_ + n;
-    cycles_.resize(total, 0.0);
-    stall_.resize(total, 0.0);
-    energy_nj_.resize(total, 0.0);
-    busy_coeff_.resize(total, p.busy_cycle_energy_nj);
-    for (std::size_t i = 0; i < kNumPowerEvents; ++i) {
-        ev_[i].resize(total, 0.0);
-        coeff_[i].resize(total, p.event_energy_nj[i]);
-    }
-    total_cores_ = total;
+    nb_items_.resize(lanes_.size());
+    total_cores_ += chip.config().coreCount();
     return lane;
 }
 
@@ -52,73 +39,29 @@ ChipBatch::result(std::size_t lane)
 void
 ChipBatch::step() PPEP_NONBLOCKING
 {
-    const std::size_t stall_idx = eventIndex(Event::DispatchStall);
+    // The demand half per chip, in lane order. Per-chip RNG streams
+    // advance here, exactly as the scalar path would.
+    std::size_t n_items = 0;
+    for (Lane &lane : lanes_) {
+        if (!lane.active)
+            continue;
+        lane.chip->stepDemand();
+        nb_items_[n_items++] = lane.nb;
+    }
 
-    // Phase A per chip, in lane order: job advance, VF/gating, the NB
-    // fixed point, core execution. Per-chip RNG streams advance here,
-    // exactly as the scalar path would.
-    for (std::size_t l = 0; l < lanes_.size(); ++l)
-        if (lanes_[l].active)
-            lanes_[l].chip->stepPhaseA(results_[l]);
+    // Every active chip's NB fixed point in one interleaved solve.
+    NorthBridge::resolveBatchInto(nb_items_.data(), n_items);
 
-    // Pack each active lane's activity into the SoA columns. Idle
-    // cores price to zero; their entry in phase B is skipped anyway
-    // (the scalar reference never reads energy for !busy cores).
+    // The rest of each chip's tick. Chips share no state, so running
+    // each one's parts in separate passes is unobservable.
     for (std::size_t l = 0; l < lanes_.size(); ++l) {
         if (!lanes_[l].active)
             continue;
-        const Lane &lane = lanes_[l];
-        for (std::size_t k = 0; k < lane.n_cores; ++k) {
-            const std::size_t f = lane.core_offset + k;
-            const CoreActivity &act = results_[l].truth.activity[k];
-            if (act.busy) {
-                cycles_[f] = act.cycles;
-                stall_[f] = act.events[stall_idx];
-                for (std::size_t i = 0; i < kNumPowerEvents; ++i)
-                    ev_[i][f] = act.events[i];
-            } else {
-                cycles_[f] = 0.0;
-                stall_[f] = 0.0;
-                for (std::size_t i = 0; i < kNumPowerEvents; ++i)
-                    ev_[i][f] = 0.0;
-            }
-        }
+        Chip &chip = *lanes_[l].chip;
+        chip.stepExecute(results_[l]);
+        chip.stepPhaseB(results_[l]);
+        chip.stepPhaseC(results_[l]);
     }
-
-    // The shared pricing pass: per flat core lane, the exact operation
-    // sequence of HwPowerModel's inline loop — one multiply on the
-    // productive cycles, then the nine event multiply-adds in
-    // ascending event order. Cross-lane vectorization cannot reorder
-    // the per-lane sequence, and -ffp-contract=off keeps every
-    // intermediate individually rounded, so each lane's result is
-    // bitwise the scalar one.
-    {
-        const double *cy = cycles_.data();
-        const double *st = stall_.data();
-        const double *bc = busy_coeff_.data();
-        double *en = energy_nj_.data();
-        const std::size_t n = total_cores_;
-#pragma omp simd
-        for (std::size_t f = 0; f < n; ++f)
-            en[f] = std::max(0.0, cy[f] - st[f]) * bc[f];
-        for (std::size_t i = 0; i < kNumPowerEvents; ++i) {
-            const double *ev = ev_[i].data();
-            const double *co = coeff_[i].data();
-#pragma omp simd
-            for (std::size_t f = 0; f < n; ++f)
-                en[f] += ev[f] * co[f];
-        }
-    }
-
-    // Phases B and C per chip, again in lane order. Chips share no
-    // state, so phase interleaving across chips is unobservable.
-    for (std::size_t l = 0; l < lanes_.size(); ++l)
-        if (lanes_[l].active)
-            lanes_[l].chip->stepPhaseB(
-                results_[l], energy_nj_.data() + lanes_[l].core_offset);
-    for (std::size_t l = 0; l < lanes_.size(); ++l)
-        if (lanes_[l].active)
-            lanes_[l].chip->stepPhaseC(results_[l]);
 }
 
 } // namespace ppep::sim

@@ -1,68 +1,62 @@
 /**
  * @file
- * Batched SoA stepping of many chips — the fleet simulator kernel.
+ * Tick-locked stepping of many chips with one interleaved north-bridge
+ * solve — the fleet simulator kernel.
  *
- * A fleet of N sessions steps N independent chips ticks-in-lockstep.
- * Chip::stepInto() is control-heavy (job phase walks, RNG streams, the
- * NB contention fixed point), but its single biggest arithmetic block
- * is embarrassingly data-parallel: pricing each core's tick as
+ * Every tick of every chip solves the NB contention fixed point
+ * (NorthBridge::resolveInto), and each round of that solve is a chain
+ * of dependent divisions: one chip's solve is latency-bound, not
+ * throughput-bound. ChipBatch steps N independent chips tick-locked in
+ * three passes:
  *
- *     energy_nJ = max(0, cycles - dispatch_stalls) * busy_coeff
- *               + Σ_i events[i] * event_coeff[i]      (i < 9)
- *
- * — the ground-truth mirror of Eq. 3's "energy per event" form, and
- * the same shape model/explore_kernel repacked for Eq. 2/3. ChipBatch
- * packs every attached chip's cores into flat structure-of-arrays
- * lanes (lanes = Σ cores across chips) and runs that pricing for all
- * of them in one `#pragma omp simd` pass per event column; the
- * control-heavy phases stay scalar, per chip, in golden order.
+ *   1. the demand half of every active chip's tick (VF landing,
+ *      gating, operating points, per-core rates);
+ *   2. one NorthBridge::resolveBatchInto() over all of their fixed
+ *      points, which runs the chips' rounds interleaved so their
+ *      division chains overlap;
+ *   3. the execute half, ground-truth power and the observable
+ *      readings of each chip.
  *
  * Bit-identity contract: ChipBatch::step() produces results bitwise
  * equal to calling chip.stepInto() on each attached chip.
- *  - stepInto() == stepPhaseA + stepPhaseB(nullptr) + stepPhaseC by
- *    pure code motion; the batch calls the same phases.
- *  - The SIMD pricing pass performs, per core, exactly the operation
- *    sequence of HwPowerModel's inline loop (one multiply, then nine
- *    ascending multiply-adds). Vectorization runs that identical
- *    sequence for several cores at once; with -ffp-contract=off
- *    (pinned on ppep_sim, like ppep_model) every intermediate rounds
- *    identically, so the lanes cannot diverge from the scalar path.
- *  - Chips never share state, so interleaving phases across chips is
+ *  - stepInto() is stepDemand, resolveInto, stepExecute, B, C in that
+ *    order; the batch calls the same parts.
+ *  - resolveBatchInto() calls the one round function resolveInto()
+ *    calls, on the same per-chip values in the same order; only the
+ *    rounds of different chips are interleaved.
+ *  - Chips never share state, so interleaving their parts is
  *    unobservable.
- * Heterogeneous fleets are free: each lane carries the coefficients of
- * its own chip's config, so FX-8320 and Phenom II lanes coexist in the
- * same pass. Fault injection lives entirely in the scalar phases and
- * is untouched.
+ * Heterogeneous fleets are free: each item carries its own chip's NB
+ * and config, so FX-8320 and Phenom II chips share one solve. Fault
+ * injection lives in the per-chip parts and is untouched.
  */
 
 #ifndef PPEP_SIM_CHIP_BATCH_HPP
 #define PPEP_SIM_CHIP_BATCH_HPP
 
-#include <array>
 #include <cstddef>
 #include <vector>
 
 #include "ppep/sim/chip.hpp"
-#include "ppep/sim/events.hpp"
+#include "ppep/sim/northbridge.hpp"
 #include "ppep/util/annotations.hpp"
 
 namespace ppep::sim {
 
-/** Steps many independent chips with one shared SIMD pricing pass. */
+/** Steps many independent chips with one interleaved NB solve. */
 class ChipBatch
 {
   public:
     /**
-     * Add a chip as another lane (cold; grows the SoA arrays by the
-     * chip's core count). The chip must outlive the batch. Returns
-     * the lane index.
+     * Add a chip as another lane (cold; sizes the batch scratch). The
+     * chip must outlive the batch. Returns the lane index.
      */
     std::size_t attach(Chip &chip);
 
     /** Number of attached chips. */
     std::size_t laneCount() const { return lanes_.size(); }
 
-    /** Flat core lanes across all attached chips. */
+    /** Cores across all attached chips. */
     std::size_t coreLaneCount() const { return total_cores_; }
 
     /**
@@ -88,24 +82,17 @@ class ChipBatch
     struct Lane
     {
         Chip *chip = nullptr;
-        std::size_t core_offset = 0;
-        std::size_t n_cores = 0;
+        /** The chip's NB fixed point; its addresses are stable. */
+        NbBatchItem nb;
         bool active = true;
     };
 
     std::vector<Lane> lanes_;
     std::vector<TickResult> results_;
+    /** The active lanes' fixed points for one step(); one slot per
+     *  lane, sized by attach(). */
+    std::vector<NbBatchItem> nb_items_;
     std::size_t total_cores_ = 0;
-
-    // Structure-of-arrays pricing inputs/outputs, one slot per flat
-    // core lane. Coefficients are per-lane so heterogeneous configs
-    // share the pass.
-    std::vector<double> cycles_;
-    std::vector<double> stall_;
-    std::vector<double> busy_coeff_;
-    std::array<std::vector<double>, kNumPowerEvents> ev_;
-    std::array<std::vector<double>, kNumPowerEvents> coeff_;
-    std::vector<double> energy_nj_;
 };
 
 } // namespace ppep::sim

@@ -55,16 +55,6 @@ CoreModel::effectiveRates(const ChipConfig &cfg, const Phase &phase,
     return out;
 }
 
-double
-CoreModel::instRate(const PerInstRates &rates, double f_ghz,
-                    double mem_lat_ns) PPEP_NONBLOCKING
-{
-    const double mcpi = rates.leading_per_inst * mem_lat_ns * f_ghz;
-    const double cpi = rates.ccpi + mcpi;
-    PPEP_ASSERT(cpi > 0.0, "non-positive CPI");
-    return f_ghz * 1e9 / cpi;
-}
-
 CoreActivity
 CoreModel::execute(const ChipConfig &cfg, const PerInstRates &rates,
                    double f_ghz, double mem_lat_ns, double dt_s,

@@ -85,14 +85,6 @@ class CoreModel
                                        util::Rng &rng) PPEP_NONBLOCKING;
 
     /**
-     * Instructions per second at the given rates, frequency, and memory
-     * latency. execute() and the NB's contention fixed point evaluate
-     * this same expression inline.
-     */
-    static double instRate(const PerInstRates &rates, double f_ghz,
-                           double mem_lat_ns) PPEP_NONBLOCKING;
-
-    /**
      * Execute @p dt_s seconds of @p phase on a core at @p f_ghz with
      * resolved memory latency @p mem_lat_ns, bounded by
      * @p max_instructions remaining in the job. Produces true event

@@ -14,6 +14,7 @@
 #ifndef PPEP_SIM_NORTHBRIDGE_HPP
 #define PPEP_SIM_NORTHBRIDGE_HPP
 
+#include <cstddef>
 #include <vector>
 
 #include "ppep/sim/chip_config.hpp"
@@ -67,6 +68,19 @@ struct NbResolution
     std::vector<NbDemandTerms> terms;
 };
 
+class NorthBridge;
+
+/**
+ * One chip's fixed point in a NorthBridge::resolveBatchInto() call:
+ * the same three things NorthBridge::resolveInto() takes.
+ */
+struct NbBatchItem
+{
+    const NorthBridge *nb = nullptr;
+    const std::vector<CoreDemand> *demands = nullptr;
+    NbResolution *res = nullptr;
+};
+
 /**
  * The north bridge: owns the NB VF state and answers latency queries.
  * Stateless across ticks except for the VF setting.
@@ -89,12 +103,6 @@ class NorthBridge
     double dramLatencyNs() const PPEP_NONBLOCKING;
 
     /**
-     * Average leading-load latency for a core whose L3 accesses miss to
-     * DRAM with probability @p l3_miss_rate, given a DRAM queueing factor.
-     */
-    double coreLatencyNs(double l3_miss_rate, double queue_factor) const PPEP_NONBLOCKING;
-
-    /**
      * Resolve the contention fixed point for one tick: given every busy
      * core's demand, find mutually consistent per-core latencies and the
      * resulting DRAM utilisation.
@@ -110,7 +118,50 @@ class NorthBridge
     void resolveInto(const std::vector<CoreDemand> &demands,
                      NbResolution &res) const PPEP_NONBLOCKING;
 
+    /**
+     * resolveInto() on @p n independent fixed points at once, each
+     * item's result bitwise equal to item.nb->resolveInto(*item.demands,
+     * *item.res). The items' rounds run interleaved: one round of every
+     * unconverged item per pass, so their serial division chains
+     * overlap in the core instead of running back to back. Each item
+     * keeps its own convergence test and 100-round cap.
+     */
+    static void resolveBatchInto(const NbBatchItem *items,
+                                 std::size_t n) PPEP_NONBLOCKING;
+
   private:
+    /** One call's fixed point: its hoisted terms and the constants
+     *  every round reads (see prepare()). */
+    struct FixedPoint
+    {
+        const NbDemandTerms *terms;
+        double *lat_out;
+        std::size_t n;
+        double dram_ns;
+        double bw_max;
+        double mlp_collapse;
+        double line_bytes;
+        double max_utilization;
+    };
+
+    /**
+     * The per-call prepass: size @p res, reset its utilisation and
+     * queue factor to the fixed point's starting values, and evaluate
+     * every demand's iteration invariants.
+     */
+    FixedPoint prepare(const std::vector<CoreDemand> &demands,
+                       NbResolution &res) const PPEP_NONBLOCKING;
+
+    /**
+     * One round of the fixed point: writes every demand's latency and
+     * advances @p queue_factor and @p utilization. Returns true once
+     * the queue factor has converged. The only place the round's
+     * arithmetic is written.
+     */
+    static bool fixedPointRound(const FixedPoint &fp,
+                                double &queue_factor,
+                                double &utilization) PPEP_NONBLOCKING;
+
     const ChipConfig &cfg_;
     VfState vf_;
 };

@@ -52,10 +52,10 @@ class IntervalSource
 
 /**
  * An IntervalSource whose interval is separable into begin / one
- * consumeTick per chip tick / finish — the contract the batched fleet
- * driver needs: it begins an interval on every session, steps all
- * their chips tick-locked through sim::ChipBatch, feeds each tick
- * result back, and finishes. For any implementation,
+ * consumeTick per chip tick / finish — the contract the tick-locked
+ * fleet drives need: they begin an interval on every session, step
+ * all their chips tick-locked through sim::ChipBatch, feed each tick
+ * result back, and finish. For any implementation,
  *
  *     n = beginIntervalInto(rec);
  *     repeat n times { chip.stepInto(t); consumeTick(rec, t); }

@@ -16,11 +16,16 @@
 
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "ppep/model/ppep.hpp"
 #include "ppep/runtime/arbiter.hpp"
 #include "ppep/runtime/fleet.hpp"
+#include "ppep/runtime/session.hpp"
+#include "ppep/runtime/telemetry.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/workloads/suite.hpp"
 
@@ -424,6 +429,127 @@ TEST(ArbiterFleet, BitIdenticalAcrossThreadCounts)
         EXPECT_EQ(parallel.arbiter.violation_intervals,
                   serial.arbiter.violation_intervals);
     }
+}
+
+/**
+ * The arbitrated lockstep written the plain way, on one thread: every
+ * session's fused LockstepDriver::collectPhase() steps its own chip
+ * with Chip::stepInto(), then the arbiter decides between the phases.
+ * The fleet's tick-locked worker slices must reproduce these digests.
+ */
+std::vector<std::uint64_t>
+fusedLockstepDigests(const FleetSpec &spec)
+{
+    const std::size_t n = spec.sessions.size();
+    std::vector<std::unique_ptr<runtime::DigestSink>> digests;
+    std::vector<std::optional<runtime::Session>> sessions(n);
+    std::vector<std::optional<runtime::Session::LockstepDriver>> drivers(
+        n);
+    std::vector<Setup> setups(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const FleetSessionSpec &ss = spec.sessions[i];
+        const sim::ChipConfig &cfg = ss.cfg ? *ss.cfg : spec.cfg;
+        digests.push_back(std::make_unique<runtime::DigestSink>());
+        auto b = runtime::Session::builder(cfg)
+                     .seed(ss.seed)
+                     .pg(ss.pg)
+                     .trainingSeed(spec.training_seed)
+                     .trainingCombos(*spec.training_combos)
+                     .store(*spec.store)
+                     .warmup(spec.warmup)
+                     .sink(*digests.back())
+                     .onePerCu(ss.one_per_cu);
+        if (ss.faults)
+            b.faults(*ss.faults);
+        sessions[i].emplace(b.build());
+        drivers[i].emplace(*sessions[i]);
+        setups[i].priority = ss.priority;
+        setups[i].slo_floor_w = ss.slo_floor_w;
+        setups[i].tier = ss.tier;
+        setups[i].n_vf = cfg.vf_table.size();
+    }
+    const auto arb = runtime::makeArbiter(*spec.arbiter, setups);
+    for (std::size_t iv = 0; iv < spec.intervals; ++iv) {
+        for (std::size_t i = 0; i < n; ++i) {
+            auto &d = *drivers[i];
+            d.collectPhase();
+            const auto *ex = d.exploration();
+            arb->gather(i, ex ? ex->data() : nullptr, ex ? ex->size() : 0,
+                        d.measuredPowerW());
+        }
+        decideSerial(*arb, iv);
+        for (std::size_t i = 0; i < n; ++i) {
+            drivers[i]->setCapLimitW(arb->capOf(i));
+            drivers[i]->decidePhase();
+        }
+    }
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < n; ++i) {
+        drivers[i]->finish();
+        out.push_back(digests[i]->digest());
+    }
+    return out;
+}
+
+TEST(ArbiterFleet, TickLockedSlicesMatchTheFusedSingleThreadLoop)
+{
+    // Seven sessions over three platforms; two run a jittering fault
+    // plan, so their intervals run short or long and their batch lanes
+    // sit out tail ticks. At 3 workers the slices are uneven (2/2/3).
+    namespace fs = std::filesystem;
+    auto spec = baseSpec(7, 10);
+    for (const std::size_t i : {2u, 3u}) {
+        spec.sessions[i].cfg = sim::phenomIIConfig();
+        spec.sessions[i].pg = false;
+    }
+    for (const std::size_t i : {4u, 5u})
+        spec.sessions[i].cfg = sim::fx8320NbDvfsConfig();
+    const sim::FaultPlan jitter = sim::FaultPlan::parse(
+        "msr=0.3,sensor_drop=0.2,diode_spike=0.1,jitter=0.3");
+    spec.sessions[1].faults = jitter;
+    spec.sessions[4].faults = jitter;
+    spec.sessions[3].priority = 2.0;
+    spec.sessions[6].slo_floor_w = 8.0;
+
+    Fleet uncapped(spec);
+    const auto free_run = uncapped.run(4);
+    ASSERT_EQ(free_run.failed, 0u);
+    const double total_w = free_run.mean_power_w * 7.0;
+    ArbiterSpec a;
+    a.budget = CapSchedule({{0, 1.1 * total_w}, {4, 0.75 * total_w}});
+    spec.arbiter = std::move(a);
+
+    const std::vector<std::uint64_t> want = fusedLockstepDigests(spec);
+    for (std::size_t i = 1; i < want.size(); ++i)
+        EXPECT_NE(want[i], want[0]);
+
+    const std::string path = ::testing::TempDir() +
+                             "ppep_arbiter_slices_" +
+                             std::to_string(::getpid()) + ".trc";
+    fs::remove(path);
+    auto rec_spec = spec;
+    rec_spec.record_path = path;
+    Fleet fleet(std::move(rec_spec));
+    for (const std::size_t workers : {1u, 3u, 4u}) {
+        const auto res = fleet.run(workers);
+        ASSERT_EQ(res.failed, 0u) << workers << " workers";
+        ASSERT_EQ(res.sessions.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(res.sessions[i].telemetry_digest, want[i])
+                << "session " << i << " at " << workers << " workers";
+    }
+
+    // The same fleet replayed: every lane asks for zero ticks and the
+    // slices step no chip, yet the digests are the live ones.
+    auto rep_spec = spec;
+    rep_spec.replay_path = path;
+    Fleet replayed(std::move(rep_spec));
+    const auto rep = replayed.run(3);
+    ASSERT_EQ(rep.failed, 0u);
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(rep.sessions[i].telemetry_digest, want[i])
+            << "replayed session " << i;
+    fs::remove(path);
 }
 
 TEST(ArbiterFleet, ObserverSeesEveryIntervalAndCapsHoldTheBudget)

@@ -19,6 +19,29 @@ cfg()
     return c;
 }
 
+/**
+ * Average leading-load latency for a core whose L3 accesses miss to
+ * DRAM with probability @p l3_miss_rate, given a DRAM queueing factor:
+ * the blend the contention fixed point evaluates inline.
+ */
+double
+coreLatencyNs(const NorthBridge &nb, double l3_miss_rate,
+              double queue_factor)
+{
+    return nb.l3LatencyNs() * (1.0 - l3_miss_rate) +
+           nb.dramLatencyNs() * queue_factor * l3_miss_rate;
+}
+
+/** Instructions per second at the given rates, frequency and memory
+ *  latency: the expression the fixed point evaluates inline. */
+double
+instRate(const PerInstRates &rates, double f_ghz, double mem_lat_ns)
+{
+    const double mcpi = rates.leading_per_inst * mem_lat_ns * f_ghz;
+    const double cpi = rates.ccpi + mcpi;
+    return f_ghz * 1e9 / cpi;
+}
+
 CoreDemand
 memDemand(const ChipConfig &c, double f_ghz, double intensity = 1.0)
 {
@@ -60,9 +83,9 @@ TEST(NorthBridge, CoreLatencyBlendsL3AndDram)
 {
     const auto c = cfg();
     NorthBridge nb(c);
-    const double pure_l3 = nb.coreLatencyNs(0.0, 1.0);
-    const double pure_dram = nb.coreLatencyNs(1.0, 1.0);
-    const double half = nb.coreLatencyNs(0.5, 1.0);
+    const double pure_l3 = coreLatencyNs(nb, 0.0, 1.0);
+    const double pure_dram = coreLatencyNs(nb, 1.0, 1.0);
+    const double half = coreLatencyNs(nb, 0.5, 1.0);
     EXPECT_DOUBLE_EQ(pure_l3, nb.l3LatencyNs());
     EXPECT_DOUBLE_EQ(pure_dram, nb.dramLatencyNs());
     EXPECT_NEAR(half, 0.5 * (pure_l3 + pure_dram), 1e-12);
@@ -131,7 +154,7 @@ TEST(NorthBridge, FixedPointSelfConsistent)
     const auto res = nb.resolve(demands);
     double bytes = 0.0;
     for (std::size_t i = 0; i < demands.size(); ++i) {
-        const double ips = CoreModel::instRate(
+        const double ips = instRate(
             demands[i].rates, demands[i].f_ghz, res.mem_lat_ns[i]);
         bytes += ips * demands[i].rates.dram_per_inst * c.nb.line_bytes;
     }

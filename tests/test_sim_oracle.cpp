@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "ppep/sim/chip.hpp"
@@ -196,6 +197,126 @@ TEST(SimOracle, NbResolveMatchesAtTheIterationCap)
         expectResolutionEqual(got, want);
     }
     EXPECT_GT(capped, 0u) << "no trial reached the iteration cap";
+}
+
+// ---------------------------------------------------------------------------
+// Interleaved NB fixed points (NorthBridge::resolveBatchInto)
+// ---------------------------------------------------------------------------
+
+/** Demands violent enough (on a config with cfg.nb.mlp_collapse = 400)
+ *  to oscillate until the 100-round cap; see the test above. */
+std::vector<sim::CoreDemand>
+oscillatingDemands(util::Rng &rng)
+{
+    std::vector<sim::CoreDemand> demands(
+        1 + static_cast<std::size_t>(rng.uniform(0.0, 7.99)));
+    for (auto &d : demands) {
+        d = randomDemand(rng, 40.0);
+        d.rates.l3_per_inst = rng.uniform(0.5, 2.0);
+        d.rates.dram_per_inst = d.rates.l3_per_inst * rng.uniform(0.5, 1.0);
+        d.rates.leading_per_inst = rng.uniform(0.001, 0.01);
+    }
+    return demands;
+}
+
+TEST(NbBatch, MatchesPerItemResolveIntoBitForBit)
+{
+    // Every platform's NB, each item at its own NB VF state, with 0-8
+    // demands; the sizes cross the batch's internal chunking.
+    sim::ChipConfig collapse = sim::fx8320Config();
+    collapse.nb.mlp_collapse = 400.0;
+    const std::vector<sim::ChipConfig> cfgs = {
+        sim::fx8320Config(), sim::phenomIIConfig(),
+        sim::fx8320NbDvfsConfig(), collapse};
+    util::Rng rng(4242);
+
+    // One demand set the reference runs into the round cap on the
+    // collapse config; every batch below carries it as its last item.
+    std::vector<sim::CoreDemand> capped_demands;
+    for (int tries = 0; tries < 1000 && capped_demands.empty(); ++tries) {
+        auto d = oscillatingDemands(rng);
+        sim::NbResolution scratch;
+        if (referenceResolve(collapse, collapse.nb.vf_hi, d, scratch) ==
+            100)
+            capped_demands = std::move(d);
+    }
+    ASSERT_FALSE(capped_demands.empty()) << "no demand set hit the cap";
+
+    // Results reused across batches, like a ChipBatch's chips' scratch.
+    std::vector<sim::NbResolution> got(64);
+    std::size_t batches = 0;
+    for (const std::size_t n_items :
+         {1u, 2u, 3u, 5u, 8u, 13u, 31u, 32u, 33u, 47u, 64u}) {
+        for (int rep = 0; rep < 3; ++rep, ++batches) {
+            SCOPED_TRACE(std::to_string(n_items) + " items, rep " +
+                         std::to_string(rep));
+            std::vector<std::unique_ptr<sim::NorthBridge>> nbs;
+            std::vector<std::vector<sim::CoreDemand>> demands(n_items);
+            std::vector<sim::NbBatchItem> items(n_items);
+            std::vector<int> rounds(n_items, 0);
+            for (std::size_t k = 0; k < n_items; ++k) {
+                const bool cap_item = k + 1 == n_items;
+                const sim::ChipConfig &cfg =
+                    cap_item ? cfgs[3] : cfgs[(k + batches) % 3];
+                nbs.push_back(std::make_unique<sim::NorthBridge>(cfg));
+                sim::VfState vf = cfg.nb.vf_hi;
+                if (!cap_item && k % 3 == 1)
+                    vf = cfg.nb.vf_lo;
+                else if (!cap_item && k % 3 == 2)
+                    vf = {rng.uniform(0.9, 1.3), rng.uniform(1.0, 2.6)};
+                nbs.back()->setVf(vf);
+                if (cap_item) {
+                    demands[k] = capped_demands;
+                } else {
+                    demands[k].resize((k + batches) % 9);
+                    const double scale = k % 4 == 0 ? 40.0 : 1.0;
+                    for (auto &d : demands[k])
+                        d = randomDemand(rng, scale);
+                }
+                items[k] = {nbs.back().get(), &demands[k], &got[k]};
+                sim::NbResolution scratch;
+                rounds[k] = referenceResolve(cfg, vf, demands[k], scratch);
+            }
+
+            sim::NorthBridge::resolveBatchInto(items.data(), n_items);
+
+            for (std::size_t k = 0; k < n_items; ++k) {
+                SCOPED_TRACE("item " + std::to_string(k));
+                sim::NbResolution want;
+                nbs[k]->resolveInto(demands[k], want);
+                expectResolutionEqual(got[k], want);
+            }
+            // Non-vacuous: the items really stop in different rounds
+            // (empty items run none), and one of them at the cap.
+            EXPECT_EQ(rounds.back(), 100);
+            if (n_items >= 8) {
+                std::vector<int> distinct = rounds;
+                std::sort(distinct.begin(), distinct.end());
+                distinct.erase(
+                    std::unique(distinct.begin(), distinct.end()),
+                    distinct.end());
+                EXPECT_GE(distinct.size(), 4u);
+            }
+        }
+    }
+}
+
+TEST(NbBatch, EmptyBatchAndEmptyItemsAreIdle)
+{
+    sim::NorthBridge::resolveBatchInto(nullptr, 0);
+
+    const sim::ChipConfig cfg = sim::phenomIIConfig();
+    sim::NorthBridge nb(cfg);
+    const std::vector<sim::CoreDemand> none;
+    sim::NbResolution res;
+    res.mem_lat_ns.assign(3, 7.0); // stale state from a busier tick
+    res.utilization = 0.5;
+    res.queue_factor = 2.0;
+    const sim::NbBatchItem item{&nb, &none, &res};
+    sim::NorthBridge::resolveBatchInto(&item, 1);
+    EXPECT_TRUE(res.mem_lat_ns.empty());
+    EXPECT_BITS_EQ(res.utilization, 0.0);
+    EXPECT_BITS_EQ(res.queue_factor, 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "ppep/trace/collector.hpp"
 #include "ppep/trace/export.hpp"
@@ -20,7 +23,10 @@ using namespace ppep;
 class ExportTest : public ::testing::Test
 {
   protected:
-    std::string path_ = ::testing::TempDir() + "ppep_trace_test.csv";
+    // One file per process: ctest runs each case as its own process,
+    // in parallel, so a shared name would let cases clobber each other.
+    std::string path_ = ::testing::TempDir() + "ppep_trace_test_" +
+                        std::to_string(::getpid()) + ".csv";
 
     std::vector<std::string>
     lines()

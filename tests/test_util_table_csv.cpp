@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "ppep/util/csv.hpp"
 #include "ppep/util/table.hpp"
@@ -81,7 +84,10 @@ TEST(Table, CellContentsPreserved)
 class CsvTest : public ::testing::Test
 {
   protected:
-    std::string path_ = ::testing::TempDir() + "ppep_csv_test.csv";
+    // One file per process: ctest runs each case as its own process,
+    // in parallel, so a shared name would let cases clobber each other.
+    std::string path_ = ::testing::TempDir() + "ppep_csv_test_" +
+                        std::to_string(::getpid()) + ".csv";
 
     std::string
     readBack()

@@ -14,8 +14,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include <ostream>
 #include <streambuf>
@@ -26,10 +29,12 @@
 #include "ppep/model/ppep.hpp"
 #include "ppep/model/trainer.hpp"
 #include "ppep/runtime/arbiter.hpp"
+#include "ppep/runtime/fleet.hpp"
 #include "ppep/runtime/session.hpp"
 #include "ppep/runtime/telemetry.hpp"
 #include "ppep/runtime/tenant.hpp"
 #include "ppep/sim/chip.hpp"
+#include "ppep/sim/chip_batch.hpp"
 #include "ppep/sim/fault.hpp"
 #include "ppep/trace/collector.hpp"
 #include "ppep/workloads/suite.hpp"
@@ -476,6 +481,113 @@ TEST(ZeroAlloc, ChipStepIntoIsAllocationFreeOnceWarm)
                 << c.name << " interval " << i;
         }
     }
+}
+
+/**
+ * A warm ChipBatch::step() — the demand halves, the interleaved NB
+ * solve over every active lane, and the rest of each tick — allocates
+ * nothing, across platforms, a fault plan, VF changes and lanes that
+ * drop out of and rejoin the lockstep.
+ */
+TEST(ZeroAlloc, ChipBatchStepIsAllocationFreeOnceWarm)
+{
+    std::vector<std::unique_ptr<sim::Chip>> chips;
+    chips.push_back(std::make_unique<sim::Chip>(sim::fx8320Config(), 5));
+    chips.push_back(std::make_unique<sim::Chip>(sim::phenomIIConfig(), 6));
+    chips.push_back(
+        std::make_unique<sim::Chip>(sim::fx8320NbDvfsConfig(), 7));
+    chips[0]->setPowerGatingEnabled(true);
+    chips[2]->setFaultPlan(
+        sim::FaultPlan::parse("msr=0.05,wrap=24,saturate=0.02,mux=0.05,"
+                              "vf_delay=0.2,vf_reject=0.1"),
+        3);
+    sim::ChipBatch batch;
+    for (auto &c : chips) {
+        workloads::launch(*c, workloads::replicate("470.lbm", 3), true);
+        batch.attach(*c);
+    }
+    const auto tick = [&](std::size_t t) {
+        for (auto &c : chips)
+            c->setAllVf(t / 10 % c->stateCount());
+        batch.setActive(1, t % 25 < 20);
+        batch.step();
+    };
+    for (std::size_t t = 0; t < 60; ++t) // warm every buffer
+        tick(t);
+    for (std::size_t t = 60; t < 260; ++t) {
+        g_news.store(0, std::memory_order_relaxed);
+        g_counting.store(true, std::memory_order_relaxed);
+        tick(t);
+        g_counting.store(false, std::memory_order_relaxed);
+        EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u)
+            << "tick " << t;
+    }
+}
+
+/**
+ * One warm interval of an arbitrated fleet worker — its slice's
+ * tick-locked collect, the gather, the arbiter's decide, and every
+ * session's decide phase with telemetry fan-out — allocates nothing.
+ * One session runs a jittering fault plan, so its lane sits out tail
+ * ticks on some intervals.
+ */
+TEST(ZeroAlloc, ArbitratedWorkerIntervalIsAllocationFreeOnceWarm)
+{
+    Stack stack;
+    constexpr std::size_t kSessions = 4;
+    std::vector<runtime::DigestSink> digests(kSessions);
+    std::vector<std::optional<runtime::Session>> sessions(kSessions);
+    std::vector<std::optional<runtime::Session::LockstepDriver>> drivers(
+        kSessions);
+    std::vector<runtime::FleetArbiter::SessionSetup> setups(kSessions);
+    runtime::LockstepSlice slice;
+    const std::vector<std::string> programs = {"EP", "CG", "458.sjeng",
+                                               "470.lbm"};
+    for (std::size_t i = 0; i < kSessions; ++i) {
+        auto b = runtime::Session::builder(stack.cfg)
+                     .seed(11 + i)
+                     .pg(i % 2 == 0)
+                     .sharedModels(stack.models, stack.ppep)
+                     .governor(runtime::cappingGovernor())
+                     .warmup(1)
+                     .sink(digests[i])
+                     .onePerCu({programs[i], programs[(i + 1) % 4]});
+        if (i == 1)
+            b.faults(sim::FaultPlan::parse("msr=0.1,jitter=0.3"));
+        sessions[i].emplace(b.build());
+        drivers[i].emplace(*sessions[i]);
+        slice.add(*drivers[i]);
+        setups[i].n_vf = stack.cfg.vf_table.size();
+    }
+    runtime::ArbiterSpec spec;
+    spec.budget = ppep::governor::CapSchedule({{0, 400.0}, {20, 200.0}});
+    const auto arb = runtime::makeArbiter(spec, setups);
+
+    const auto interval = [&](std::size_t iv) {
+        slice.collect();
+        for (std::size_t i = 0; i < kSessions; ++i) {
+            const auto *ex = drivers[i]->exploration();
+            arb->gather(i, ex ? ex->data() : nullptr, ex ? ex->size() : 0,
+                        drivers[i]->measuredPowerW());
+        }
+        arb->decide(iv);
+        for (std::size_t i = 0; i < kSessions; ++i) {
+            drivers[i]->setCapLimitW(arb->capOf(i));
+            drivers[i]->decidePhase();
+        }
+    };
+    for (std::size_t iv = 0; iv < 6; ++iv) // warm every buffer
+        interval(iv);
+    for (std::size_t iv = 6; iv < 36; ++iv) { // crosses the drop at 20
+        g_news.store(0, std::memory_order_relaxed);
+        g_counting.store(true, std::memory_order_relaxed);
+        interval(iv);
+        g_counting.store(false, std::memory_order_relaxed);
+        EXPECT_EQ(g_news.load(std::memory_order_relaxed), 0u)
+            << "interval " << iv;
+    }
+    for (auto &d : drivers)
+        d->finish();
 }
 
 TEST(ZeroAlloc, CountingHookIsLive)

@@ -114,9 +114,11 @@ usage(int code)
         "        [--recalibrate]      refit the dynamic-power weights\n"
         "                             online when divergence climbs and\n"
         "                             hot-swap the accepted model in\n"
-        "        [--batched]          step all sessions' chips through\n"
-        "                             one SIMD batch (bit-identical\n"
-        "                             telemetry, one thread)\n"
+        "        [--batched]          step all sessions' chips tick-\n"
+        "                             locked on one thread, their NB\n"
+        "                             fixed points solved interleaved\n"
+        "                             (bit-identical telemetry; --budget\n"
+        "                             fleets always run this way)\n"
         "        [--record FILE]      record every session's interval\n"
         "                             stream into a replay file\n"
         "        [--replay FILE]      govern from a recorded file with\n"
@@ -638,12 +640,6 @@ cmdFleet(const Options &opt)
         return 1;
     }
     if (opt.budget_w > 0.0) {
-        if (opt.batched) {
-            std::fprintf(stderr, "fleet: --budget is incompatible with "
-                                 "--batched (the arbitrated drive is "
-                                 "its own lockstep)\n");
-            return 1;
-        }
         runtime::ArbiterSpec aspec;
         std::vector<std::pair<std::size_t, double>> points = {
             {0, opt.budget_w}};
@@ -753,7 +749,7 @@ cmdFleet(const Options &opt)
         std::printf("running %zu sessions x %zu intervals on %zu "
                     "thread(s)%s...\n",
                     n_sessions, opt.intervals, opt.threads,
-                    opt.batched ? " (batched SIMD drive)" : "");
+                    opt.batched ? " (tick-locked drive)" : "");
     const auto res = fleet.run(opt.threads);
 
     util::Table t("\nFleet sessions:");
