@@ -47,12 +47,6 @@ GovernorLoop::GovernorLoop(sim::Chip &chip, Governor &policy)
 {
 }
 
-GovernorLoop::GovernorLoop(sim::Chip &chip, Governor &policy,
-                           trace::IntervalSource &source)
-    : chip_(chip), policy_(policy), source_(&source)
-{
-}
-
 void
 GovernorLoop::cycleBegin(std::size_t index, const CapSchedule &schedule,
                          GovernorStep &step) PPEP_NONBLOCKING
@@ -108,11 +102,9 @@ GovernorLoop::cycle(std::size_t index, const CapSchedule &schedule,
     cycleDecide(index, schedule, step, next_vf, latency_s);
 }
 
-trace::IntervalSource &
+trace::Collector &
 GovernorLoop::source()
 {
-    if (source_)
-        return *source_;
     if (!own_collector_)
         own_collector_.emplace(chip_);
     return *own_collector_;

@@ -135,22 +135,13 @@ class GovernorLoop
     /**
      * Per-step observer: invoked once per completed interval with the
      * finished step and the wall-clock cost of the decide()/decideNb()
-     * call that followed it. ppep::runtime::Session uses this to drive
-     * its telemetry sinks without duplicating the cycle.
+     * call that followed it.
      */
     using StepObserver =
         std::function<void(const GovernorStep &step,
                            double decision_latency_s)>;
 
     GovernorLoop(sim::Chip &chip, Governor &policy);
-
-    /**
-     * Drive the cycle from @p source instead of a plain Collector — the
-     * hardened-acquisition hookup (runtime::Sampler). @p source must be
-     * bound to the same chip.
-     */
-    GovernorLoop(sim::Chip &chip, Governor &policy,
-                 trace::IntervalSource &source);
 
     /** Run @p intervals intervals under @p schedule. */
     std::vector<GovernorStep> run(std::size_t intervals,
@@ -169,7 +160,8 @@ class GovernorLoop
     std::size_t drive(std::size_t intervals, const CapSchedule &schedule,
                       const StepObserver &observer = nullptr);
 
-    // Split cycle for external drivers (the lockstep fleet, replay):
+    // Split cycle for external drivers (runtime::Session's driver, with
+    // a hardened Sampler, a tick-locked batch or a replayed recording):
     // cycleBegin + "run the interval into step.rec however you like" +
     // cycleDecide is exactly cycle() — the private fused path is these
     // two calls with source.collectIntervalInto(step.rec) between them.
@@ -204,15 +196,14 @@ class GovernorLoop
                std::vector<std::size_t> &next_vf,
                double &latency_s) PPEP_NONBLOCKING;
 
-    /** The injected source, or a lazily-built Collector that persists
-     *  across run()/drive() calls so its scratch stays warm. */
-    trace::IntervalSource &source();
+    /** A lazily-built Collector that persists across run()/drive()
+     *  calls so its scratch stays warm. */
+    trace::Collector &source();
 
     sim::Chip &chip_;
     Governor &policy_;
     /** Arbiter-imposed limit; min()'d with the schedule everywhere. */
     double cap_limit_ = std::numeric_limits<double>::max();
-    trace::IntervalSource *source_ = nullptr;
     std::optional<trace::Collector> own_collector_;
     /** Scratch reused by drive(). */
     GovernorStep scratch_step_;

@@ -42,14 +42,14 @@ Fleet::Fleet(FleetSpec spec) : spec_(std::move(spec))
 {
     PPEP_ASSERT(!spec_.sessions.empty(), "fleet has no sessions");
     PPEP_ASSERT(spec_.intervals > 0, "fleet intervals must be positive");
-    if (!spec_.replay_path.empty() && spec_.batched)
-        PPEP_FATAL("a replayed fleet has no chips to batch-step; "
-                   "use batched or replay_path, not both");
     if (!spec_.replay_path.empty() && !spec_.record_path.empty())
         PPEP_FATAL("a fleet cannot record and replay at once");
     for (std::size_t i = 0; i < spec_.sessions.size(); ++i)
         if (spec_.sessions[i].name.empty())
-            spec_.sessions[i].name = "s" + std::to_string(i);
+            // append(), not "s" + ...: GCC 12 raises a false
+            // -Wrestrict on that operator+ once it is inlined here.
+            spec_.sessions[i].name = std::string("s").append(
+                std::to_string(i));
 }
 
 void
@@ -295,8 +295,6 @@ Fleet::run(std::size_t n_threads)
 
     if (spec_.arbiter)
         return runArbitrated(n_threads);
-    if (spec_.batched)
-        return runBatched();
 
     const std::size_t workers =
         std::clamp<std::size_t>(n_threads, 1, n_sessions);
@@ -364,77 +362,6 @@ LockstepSlice::collect()
         d->endCollect();
 }
 
-void
-Fleet::buildDrivers(
-    std::vector<std::unique_ptr<Harness>> &harnesses,
-    std::vector<std::optional<Session::LockstepDriver>> &drivers,
-    std::vector<clock::time_point> &started)
-{
-    const std::size_t n_sessions = spec_.sessions.size();
-    harnesses.resize(n_sessions);
-    drivers.resize(n_sessions);
-    started.resize(n_sessions);
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-        started[i] = clock::now();
-        harnesses[i] = std::make_unique<Harness>();
-        try {
-            buildHarness(i, *harnesses[i]);
-            drivers[i].emplace(*harnesses[i]->session);
-        } catch (const std::exception &e) {
-            harnesses[i]->res.error = e.what();
-            drivers[i].reset();
-        } catch (...) {
-            harnesses[i]->res.error = "unknown exception";
-            drivers[i].reset();
-        }
-    }
-}
-
-FleetResult
-Fleet::runBatched()
-{
-    const std::size_t n_sessions = spec_.sessions.size();
-    FleetResult out;
-    out.sessions.resize(n_sessions);
-    const auto t0 = clock::now();
-
-    // Build every harness on this thread; a session that fails to
-    // build is recorded and left out of the lockstep.
-    std::vector<std::unique_ptr<Harness>> harnesses;
-    std::vector<std::optional<Session::LockstepDriver>> drivers;
-    std::vector<clock::time_point> started;
-    buildDrivers(harnesses, drivers, started);
-    LockstepSlice slice;
-    for (auto &d : drivers)
-        if (d)
-            slice.add(*d);
-
-    // The lockstep: collect every session tick-locked, then decide
-    // each one under the default cap limit — drive(), interval by
-    // interval.
-    for (std::size_t interval = 0; interval < spec_.intervals;
-         ++interval) {
-        slice.collect();
-        for (auto &d : drivers)
-            if (d)
-                d->decidePhase();
-    }
-
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-        Harness &h = *harnesses[i];
-        if (drivers[i]) {
-            drivers[i]->finish();
-            h.res.intervals = spec_.intervals;
-            finishHarness(h);
-        }
-        h.res.wall_s = secondsSince(started[i]);
-        out.sessions[i] = std::move(h.res);
-    }
-
-    finalizeRun(out, secondsSince(t0));
-    return out;
-}
-
 FleetResult
 Fleet::runArbitrated(std::size_t n_threads)
 {
@@ -444,13 +371,25 @@ Fleet::runArbitrated(std::size_t n_threads)
     out.sessions.resize(n_sessions);
     const auto t0 = clock::now();
 
-    // Build every harness on this thread; a session that fails to
-    // build is recorded, excluded from the lockstep, and enters the
-    // arbiter with priority 0 so it draws no budget.
-    std::vector<std::unique_ptr<Harness>> harnesses;
-    std::vector<std::optional<Session::LockstepDriver>> drivers;
-    std::vector<clock::time_point> started;
-    buildDrivers(harnesses, drivers, started);
+    // Build every harness on this thread and take each session's own
+    // driver; a session that fails to build is recorded, excluded from
+    // the lockstep, and enters the arbiter with priority 0 so it draws
+    // no budget.
+    std::vector<std::unique_ptr<Harness>> harnesses(n_sessions);
+    std::vector<Session::LockstepDriver *> drivers(n_sessions, nullptr);
+    std::vector<clock::time_point> started(n_sessions);
+    for (std::size_t i = 0; i < n_sessions; ++i) {
+        started[i] = clock::now();
+        harnesses[i] = std::make_unique<Harness>();
+        try {
+            buildHarness(i, *harnesses[i]);
+            drivers[i] = &harnesses[i]->session->driver();
+        } catch (const std::exception &e) {
+            harnesses[i]->res.error = e.what();
+        } catch (...) {
+            harnesses[i]->res.error = "unknown exception";
+        }
+    }
 
     std::vector<FleetArbiter::SessionSetup> setups(n_sessions);
     std::vector<std::size_t> live;

@@ -28,7 +28,6 @@
 #ifndef PPEP_RUNTIME_FLEET_HPP
 #define PPEP_RUNTIME_FLEET_HPP
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -121,23 +120,13 @@ struct FleetSpec
     /** Put each session's CSV behind an AsyncTelemetrySink so stream
      *  writes happen off the governing thread. */
     bool async_telemetry = false;
-    /**
-     * Step every session's chip tick-locked through one
-     * sim::ChipBatch on the calling thread instead of per-session
-     * scalar loops. Telemetry is bit-identical to the per-session path
-     * (any thread count) — the batch runs each chip's scalar tick,
-     * with the chips' NB fixed points solved interleaved. Incompatible
-     * with replay_path. An arbitrated fleet is always tick-locked, so
-     * the flag changes nothing there.
-     */
-    bool batched = false;
     /** When non-empty, record every session's governed interval stream
      *  into this replay file (written after the run completes). */
     std::string record_path;
     /** When non-empty, drive every session from the stream of the same
      *  name in this replay file: zero simulation, mmap ingest. The
      *  file's platform fingerprints must match the sessions' configs.
-     *  Incompatible with record_path and batched. */
+     *  Incompatible with record_path. */
     std::string replay_path;
     /**
      * Fleet-level power-budget arbitration: when set, the fleet drives
@@ -208,7 +197,7 @@ struct FleetResult
 /**
  * A set of sessions whose collect phases run tick-locked through one
  * sim::ChipBatch: collect() is Session::LockstepDriver::collectPhase()
- * on every driver, bit for bit, with every tick's NB fixed points
+ * on every session's driver, bit for bit, with every tick's NB fixed points
  * solved in one interleaved pass. A fault-jittered session whose
  * interval runs out of ticks before its peers' has its lane
  * deactivated for the tail ticks, exactly as if it had stopped
@@ -217,8 +206,8 @@ struct FleetResult
 class LockstepSlice
 {
   public:
-    /** Add a driver (cold; attaches its chip as a batch lane). The
-     *  driver must outlive the slice. */
+    /** Add a session's driver (cold; attaches its chip as a batch
+     *  lane). The session must outlive the slice. */
     void add(Session::LockstepDriver &driver);
 
     /** Open, tick-step and close one collect phase on every driver,
@@ -233,10 +222,12 @@ class LockstepSlice
 };
 
 /**
- * Runs a FleetSpec on a fixed-size worker pool. Workers pull session
- * indices from a shared atomic counter; each session is built, driven
- * and torn down entirely on one worker. A session that throws is
- * recorded as failed without taking the pool down.
+ * Runs a FleetSpec on a fixed-size worker pool. Without an arbiter,
+ * workers pull session indices from a shared atomic counter; each
+ * session is built, driven and torn down entirely on one worker. With
+ * one, every session is built up front and the workers step their
+ * slices of the sessions' drivers in lockstep. A session that throws
+ * is recorded as failed without taking the pool down.
  */
 class Fleet
 {
@@ -296,15 +287,6 @@ class Fleet
     void buildHarness(std::size_t index, Harness &h);
     /** Close sinks and collect the session's outcome into h.res. */
     void finishHarness(Harness &h);
-    /** Build every session's harness and lockstep driver on the
-     *  calling thread; a session that fails to build keeps its error
-     *  in its harness and gets no driver. */
-    void buildDrivers(
-        std::vector<std::unique_ptr<Harness>> &harnesses,
-        std::vector<std::optional<Session::LockstepDriver>> &drivers,
-        std::vector<std::chrono::steady_clock::time_point> &started);
-    /** The tick-locked single-thread drive (spec_.batched). */
-    FleetResult runBatched();
     /** The barrier-arbitrated tick-locked drive (spec_.arbiter). */
     FleetResult runArbitrated(std::size_t n_threads);
     /** Rollup + throughput + record-file assembly shared by both

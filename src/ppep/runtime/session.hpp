@@ -19,10 +19,14 @@
  *                        .build();
  *     auto steps = session.run(40);
  *
- * The loop itself stays in governor::GovernorLoop (one canonical cycle);
- * the Session drives it and feeds its sinks through the loop's step
- * observer, adding per-decision wall-clock latency and the governor's
- * own predictions to the record.
+ * Every session owns exactly one interval loop, its LockstepDriver:
+ * run(), drive(), replay and both fleet drives step through it, so the
+ * interval index that positions the cap schedule is the same counter
+ * that numbers the telemetry, across any number of calls. The driver
+ * runs governor::GovernorLoop's split cycle (cycleBegin/cycleDecide)
+ * and fans each finished interval out to the sinks, adding
+ * per-decision wall-clock latency and the governor's own predictions
+ * to the record.
  */
 
 #ifndef PPEP_RUNTIME_SESSION_HPP
@@ -79,6 +83,8 @@ GovernorFactory cappingGovernor(double guard_band = 0.02);
 /** A governed run: chip + jobs + models + policy + telemetry. */
 class Session
 {
+    struct State;
+
   public:
     /** One pinned job. */
     struct JobSpec
@@ -199,7 +205,8 @@ class Session
          * at ReplaySource construction), and the recorded caps must
          * match this session's schedule (checked per interval). Warm-up
          * is skipped: the recording already warmed the run it captured.
-         * Replay sessions support drive() and LockstepDriver only.
+         * Replay runs through the session's driver like any other
+         * session, so run(), drive() and the fleet drives all serve it.
          */
         Builder &replay(trace::ReplaySource &src);
 
@@ -250,20 +257,21 @@ class Session
     };
 
     /**
-     * Splits one governed interval into a collect phase and a decide
-     * phase so an external driver (runtime::Fleet's lockstep drives)
-     * can sit between them — an arbiter on a barrier, or a
-     * sim::ChipBatch stepping many sessions' chips tick-locked:
+     * The session's one interval loop, owned by the session and reached
+     * through driver(). It splits one governed interval into a collect
+     * phase and a decide phase so an external driver (runtime::Fleet's
+     * arbitrated lockstep) can sit between them — an arbiter on a
+     * barrier, or a sim::ChipBatch stepping many sessions' chips
+     * tick-locked:
      *
      *     d.collectPhase();                 // measure the interval
      *     // barrier: arbiter reads exploration()/measuredPowerW()
      *     d.setCapLimitW(arbiter cap);      // install the allocation
      *     d.decidePhase();                  // decide, actuate, telemetry
      *
-     * The two phases are exactly one interval of Session::drive() plus
-     * the movable cap limit: with the limit left at its default the
-     * sequence is bit-identical to drive(). collectPhase() itself
-     * splits further, at the tick:
+     * run() and drive() are these two phases in a loop with the cap
+     * limit left at its default. collectPhase() itself splits further,
+     * at the tick:
      *
      *     n = d.beginCollect();
      *     repeat n times { step d.chip() into tick; d.consumeTick(tick); }
@@ -275,17 +283,19 @@ class Session
      * Works for simulated, hardened, and replayed sessions alike:
      * replay decodes the recorded frame in the collect phase, re-checks
      * the recorded cap against the schedule/limit pair, and asks for
-     * zero ticks. Construction runs the session's warm-up.
+     * zero ticks. The interval index runs on across every call.
      */
     class LockstepDriver
     {
       public:
-        explicit LockstepDriver(Session &session);
+        /** Built once by the session over its State, which a Session
+         *  move leaves in place; reach it through Session::driver(). */
+        explicit LockstepDriver(State &state);
 
         /** The session's chip (a replay session's is never stepped). */
         sim::Chip &chip();
 
-        /** Open interval @p index: stamp cap context and measure (or
+        /** Open the next interval: stamp cap context and measure (or
          *  decode the replay frame) into the step. */
         void collectPhase();
 
@@ -321,13 +331,15 @@ class Session
         void finish();
 
       private:
-        Session &session_;
+        friend class Session;
+
+        State &state_;
         ppep::governor::GovernorLoop loop_;
-        ppep::governor::GovernorLoop::StepObserver observer_;
         /** Null for replay sessions (frames come from the recording). */
         trace::TickedIntervalSource *source_ = nullptr;
         ppep::governor::GovernorStep step_;
         std::vector<std::size_t> next_vf_;
+        /** Schedule position and telemetry index of the next interval. */
         std::size_t index_ = 0;
     };
 
@@ -338,20 +350,30 @@ class Session
     ~Session();
 
     /**
-     * Run @p intervals governed intervals, fanning each completed step
-     * out to the attached sinks (and calling their finish() at the end).
-     * Repeatable; telemetry interval indices continue across calls.
+     * Run @p intervals governed intervals through the session's driver,
+     * fanning each completed step out to the attached sinks (and
+     * calling their finish() at the end) and returning a copy of every
+     * step. Repeatable: the interval index — schedule position and
+     * telemetry index alike — continues across calls.
      */
     std::vector<ppep::governor::GovernorStep> run(std::size_t intervals);
 
     /**
      * run() without retaining the step trace — the steady-state fleet
-     * path. Telemetry fan-out, warm-up, sink finish()/flush() and index
-     * continuity are identical to run(); the loop reuses one internal
-     * step so a governed interval performs zero heap allocations once
+     * path. The same driver, warm-up, telemetry fan-out, sink
+     * finish()/flush() and index continuity as run(); one reused step
+     * means a governed interval performs zero heap allocations once
      * the scratch buffers are warm. Returns the number of intervals run.
      */
     std::size_t drive(std::size_t intervals);
+
+    /**
+     * The session's interval loop, for callers that sit between its
+     * phases (the fleet's arbitrated lockstep). Runs the configured
+     * warm-up on first use; calls interleave with run()/drive() on one
+     * index.
+     */
+    LockstepDriver &driver();
 
     /** The simulated chip (for inspection or extra job placement). */
     sim::Chip &chip();
@@ -398,28 +420,10 @@ class Session
     const std::vector<std::string> &sinkErrors() const;
 
   private:
-    struct State;
     explicit Session(std::unique_ptr<State> state);
-
-    /** Run the configured warm-up once. */
-    void warmupIfNeeded();
-    /** The telemetry fan-out observer shared by run() and drive(). */
-    ppep::governor::GovernorLoop::StepObserver makeObserver();
-    /** finish()+flush() every sink; collect failures. */
-    void finishSinks();
-    /** drive() over the attached ReplaySource (no simulation). */
-    std::size_t driveReplay(std::size_t intervals);
-    /** Decode the next replay frame into @p step and verify its
-     *  recorded cap matches @p want_cap_w (the schedule/limit pair in
-     *  force at @p index). Shared by driveReplay and LockstepDriver. */
-    void replayFrameInto(ppep::governor::GovernorStep &step,
-                         std::size_t index, double want_cap_w);
-    /** The session's splittable source (Sampler or lockstep Collector). */
-    trace::TickedIntervalSource &tickedSource();
 
     std::unique_ptr<State> state_;
     friend class Builder;
-    friend class LockstepDriver;
 };
 
 } // namespace ppep::runtime

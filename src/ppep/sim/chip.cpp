@@ -143,8 +143,6 @@ EventVector
 Chip::readPmc(std::size_t core) PPEP_NONBLOCKING
 {
     PPEP_ASSERT(core < pmc_mux_.size(), "core ", core, " out of range");
-    PPEP_ASSERT(pmc_auto_mux_,
-                "auto-multiplexing is off; read the PmcBank directly");
     return pmc_mux_[core]->readAndReset();
 }
 
@@ -152,8 +150,6 @@ bool
 Chip::tryReadPmc(std::size_t core, EventVector &out) PPEP_NONBLOCKING
 {
     PPEP_ASSERT(core < pmc_mux_.size(), "core ", core, " out of range");
-    PPEP_ASSERT(pmc_auto_mux_,
-                "auto-multiplexing is off; read the PmcBank directly");
     if (injector_ && injector_->msrReadFails())
         return false;
     out = pmc_mux_[core]->readAndReset();
@@ -186,20 +182,6 @@ Chip::pmcWrapEvents() const PPEP_NONBLOCKING
     for (const auto &bank : pmc_banks_)
         total += bank->wrapEvents();
     return total;
-}
-
-void
-Chip::setPmcAutoMultiplex(bool enabled)
-{
-    pmc_auto_mux_ = enabled;
-}
-
-PmcBank &
-Chip::pmcBank(std::size_t core)
-{
-    PPEP_ASSERT(core < pmc_banks_.size(), "core ", core,
-                " out of range");
-    return *pmc_banks_[core];
 }
 
 bool
@@ -496,8 +478,8 @@ Chip::stepPhaseC(TickResult &res) PPEP_NONBLOCKING
         res.diode_temp_k = injector_->corruptDiode(res.diode_temp_k);
     }
 
-    // 7. Counter hardware ticks; the software multiplexer (when
-    //    enabled) harvests the active group and rotates the selects.
+    // 7. Counter hardware ticks; the software multiplexer harvests
+    //    the active group and rotates the selects.
     //    Injected faults: a slot may saturate to full scale, and the
     //    daemon-side harvest may miss the tick entirely (the counts
     //    then bleed into the next harvest unrotated).
@@ -507,11 +489,10 @@ Chip::stepPhaseC(TickResult &res) PPEP_NONBLOCKING
             if (const auto slot = injector_->saturatedSlot(
                     pmc_banks_[c]->counterCount()))
                 pmc_banks_[c]->write(*slot, pmc_banks_[c]->maxCount());
-            if (pmc_auto_mux_ && injector_->muxTickDropped())
+            if (injector_->muxTickDropped())
                 continue;
         }
-        if (pmc_auto_mux_)
-            pmc_mux_[c]->afterTick();
+        pmc_mux_[c]->afterTick();
     }
 
     time_s_ += dt;

@@ -126,7 +126,7 @@ class Chip
     /**
      * Read-and-reset one core's software-multiplexed counters (the
      * daemon path the paper uses). Never fails — the legacy perfect-
-     * hardware read. @pre auto-multiplexing is enabled.
+     * hardware read.
      */
     EventVector readPmc(std::size_t core) PPEP_NONBLOCKING;
 
@@ -136,7 +136,6 @@ class Chip
      * FaultPlan::msr_read_fail_p); the multiplexer then keeps
      * accumulating, so a later retry reads a longer window. Returns
      * false and leaves @p out untouched on failure.
-     * @pre auto-multiplexing is enabled.
      */
     bool tryReadPmc(std::size_t core, EventVector &out) PPEP_NONBLOCKING;
 
@@ -146,20 +145,6 @@ class Chip
      * cover (longer than one interval after failed reads).
      */
     std::size_t pmcTicksSinceReset(std::size_t core) const PPEP_NONBLOCKING;
-
-    /**
-     * Enable/disable the built-in per-core software multiplexer. With
-     * it disabled, nothing reprograms the counter selects between
-     * ticks: program the bank yourself (directly or through the MSR
-     * facade) and read raw counts — the msr-tools workflow.
-     */
-    void setPmcAutoMultiplex(bool enabled);
-
-    /** Whether the built-in multiplexer is driving the counters. */
-    bool pmcAutoMultiplex() const { return pmc_auto_mux_; }
-
-    /** Direct access to a core's counter hardware (MSR-level use). */
-    PmcBank &pmcBank(std::size_t core);
 
     // --- fault injection ------------------------------------------------
 
@@ -284,7 +269,6 @@ class Chip
     std::vector<std::size_t> cu_vf_;
     std::vector<std::unique_ptr<PmcBank>> pmc_banks_;
     std::vector<std::unique_ptr<PmcMultiplexer>> pmc_mux_;
-    bool pmc_auto_mux_ = true;
     std::vector<util::Rng> core_rngs_;
     /** activityFactor()'s most recent value per core and its key. */
     struct ActivityMemo

@@ -443,8 +443,7 @@ fusedLockstepDigests(const FleetSpec &spec)
     const std::size_t n = spec.sessions.size();
     std::vector<std::unique_ptr<runtime::DigestSink>> digests;
     std::vector<std::optional<runtime::Session>> sessions(n);
-    std::vector<std::optional<runtime::Session::LockstepDriver>> drivers(
-        n);
+    std::vector<runtime::Session::LockstepDriver *> drivers(n);
     std::vector<Setup> setups(n);
     for (std::size_t i = 0; i < n; ++i) {
         const FleetSessionSpec &ss = spec.sessions[i];
@@ -462,7 +461,7 @@ fusedLockstepDigests(const FleetSpec &spec)
         if (ss.faults)
             b.faults(*ss.faults);
         sessions[i].emplace(b.build());
-        drivers[i].emplace(*sessions[i]);
+        drivers[i] = &sessions[i]->driver();
         setups[i].priority = ss.priority;
         setups[i].slo_floor_w = ss.slo_floor_w;
         setups[i].tier = ss.tier;

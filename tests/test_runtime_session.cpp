@@ -446,4 +446,80 @@ TEST(Session, TelemetryIndicesContinueAcrossRuns)
     EXPECT_EQ(jsonField(rows.back(), "interval"), "4");
 }
 
+/** Logs each interval's telemetry index and cap. */
+class CapLog : public runtime::TelemetrySink
+{
+  public:
+    void onInterval(const runtime::IntervalTelemetry &t) override
+    {
+        indices.push_back(t.index);
+        caps.push_back(t.cap_w);
+    }
+    std::vector<std::size_t> indices;
+    std::vector<double> caps;
+};
+
+TEST(Session, SplitCallsKeepTheCapSchedulePosition)
+{
+    // One interval counter positions the schedule and numbers the
+    // telemetry: a run split at the drop must see the drop exactly
+    // where a single call does, whether it goes through drive() or
+    // run().
+    const auto &s = Shared::get();
+    auto cfg = s.cfg;
+    cfg.per_cu_voltage = true;
+    const governor::CapSchedule stepped({{0, 1000.0}, {3, 40.0}});
+    struct Logs
+    {
+        runtime::DigestSink digest;
+        CapLog caps;
+    };
+    const auto build = [&](Logs &l) {
+        return runtime::Session::builder(cfg)
+            .seed(21)
+            .pg(true)
+            .onePerCu(kMix)
+            .models(s.models)
+            .governor(runtime::cappingGovernor())
+            .schedule(stepped)
+            .sink(l.digest)
+            .sink(l.caps)
+            .build();
+    };
+    Logs whole, split_drive, split_run, whole_run;
+    build(whole).drive(6);
+    {
+        auto session = build(split_drive);
+        session.drive(3);
+        session.drive(3);
+    }
+    std::vector<governor::GovernorStep> steps;
+    {
+        auto session = build(split_run);
+        steps = session.run(3);
+        const auto tail = session.run(3);
+        steps.insert(steps.end(), tail.begin(), tail.end());
+    }
+    const auto one_call_steps = build(whole_run).run(6);
+
+    const std::vector<double> want = {1000.0, 1000.0, 1000.0,
+                                      40.0,   40.0,   40.0};
+    const std::vector<std::size_t> want_idx = {0, 1, 2, 3, 4, 5};
+    for (const Logs *l : {&whole, &split_drive, &split_run, &whole_run}) {
+        EXPECT_EQ(l->caps.caps, want);
+        EXPECT_EQ(l->caps.indices, want_idx);
+        EXPECT_EQ(l->digest.digest(), whole.digest.digest());
+    }
+    ASSERT_EQ(steps.size(), 6u);
+    ASSERT_EQ(one_call_steps.size(), 6u);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        EXPECT_EQ(steps[i].cap_w, want[i]) << "interval " << i;
+        EXPECT_EQ(steps[i].cu_vf, one_call_steps[i].cu_vf)
+            << "interval " << i;
+        EXPECT_EQ(steps[i].rec.sensor_power_w,
+                  one_call_steps[i].rec.sensor_power_w)
+            << "interval " << i;
+    }
+}
+
 } // namespace

@@ -1,26 +1,21 @@
 /**
  * @file
- * ChipBatch bit-identity tests: the SoA SIMD stepping kernel must
- * reproduce the scalar Chip::stepInto() stream bit for bit — per tick,
- * per lane — for homogeneous, heterogeneous, power-gated and
- * fault-injected chips, and the fleet's batched drive mode must emit
- * the same telemetry digests as the per-session scalar path at any
- * thread count.
+ * ChipBatch bit-identity tests: the tick-locked batch must reproduce
+ * the scalar Chip::stepInto() stream bit for bit — per tick, per lane —
+ * for homogeneous, heterogeneous, power-gated and fault-injected chips.
+ * The fleet drive that steps through it is covered by
+ * test_runtime_arbiter.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "ppep/runtime/fleet.hpp"
 #include "ppep/sim/chip.hpp"
 #include "ppep/sim/chip_batch.hpp"
 #include "ppep/sim/chip_config.hpp"
@@ -30,9 +25,6 @@
 namespace {
 
 using namespace ppep;
-using runtime::Fleet;
-using runtime::FleetSessionSpec;
-using runtime::FleetSpec;
 
 /** Exact bit-pattern equality — injected sensor faults are NaN, and a
  *  NaN reading must survive the batch bit-identically too. */
@@ -214,135 +206,6 @@ TEST(ChipBatch, InactiveLanesAreLeftUntouched)
     }
     EXPECT_EQ(a_lane.timeS(), a_scalar.timeS());
     EXPECT_GT(a_lane.timeS(), b_lane.timeS());
-}
-
-// --- fleet batched drive mode -------------------------------------------
-
-std::vector<const workloads::Combination *>
-smallTrainingSet(std::size_t n = 8)
-{
-    std::vector<const workloads::Combination *> out;
-    for (const auto &c : workloads::allCombinations())
-        if (c.instances.size() == 1 && out.size() < n)
-            out.push_back(&c);
-    return out;
-}
-
-/** One cache dir per test process (see test_runtime_fleet.cpp). */
-const std::string &
-cacheDir()
-{
-    static const std::string dir = [] {
-        const std::string d = ::testing::TempDir() +
-                              "ppep_batch_cache_" +
-                              std::to_string(::getpid());
-        std::filesystem::remove_all(d);
-        return d;
-    }();
-    return dir;
-}
-
-FleetSpec
-baseSpec(std::size_t n_sessions)
-{
-    static const std::vector<std::string> programs = {"EP", "CG",
-                                                      "458.sjeng"};
-    FleetSpec spec;
-    spec.cfg = sim::fx8320Config();
-    spec.training_seed = 91;
-    spec.training_combos = smallTrainingSet();
-    spec.store.emplace(cacheDir());
-    spec.warmup = 1;
-    spec.intervals = 6;
-    for (std::size_t i = 0; i < n_sessions; ++i) {
-        FleetSessionSpec ss;
-        ss.seed = 7 + i;
-        ss.pg = (i % 2) == 0;
-        ss.one_per_cu = {programs[i % programs.size()]};
-        spec.sessions.push_back(std::move(ss));
-    }
-    return spec;
-}
-
-/** 5 sessions over 3 distinct platforms, 2 tenants on the first. */
-FleetSpec
-heteroSpec()
-{
-    FleetSpec spec = baseSpec(5);
-    spec.sessions[2].cfg = sim::phenomIIConfig();
-    spec.sessions[3].cfg = sim::phenomIIConfig();
-    spec.sessions[4].cfg = sim::fx8320NbDvfsConfig();
-    spec.sessions[2].pg = false;
-    spec.sessions[3].pg = false;
-    spec.sessions[0].one_per_cu.clear();
-    spec.sessions[0].tenants = {
-        {"alpha", {0, 1, 2, 3}, {{0, "EP", true}}},
-        {"beta", {4, 5, 6, 7}, {{4, "CG", true}}},
-    };
-    return spec;
-}
-
-TEST(FleetBatched, DigestsMatchThreadedPathBitForBit)
-{
-    Fleet scalar_fleet(baseSpec(5));
-    const auto serial = scalar_fleet.run(1);
-    ASSERT_EQ(serial.failed, 0u);
-    ASSERT_EQ(serial.completed, 5u);
-    const auto threaded = scalar_fleet.run(4);
-    ASSERT_EQ(threaded.failed, 0u);
-
-    auto bspec = baseSpec(5);
-    bspec.batched = true;
-    Fleet batched_fleet(std::move(bspec));
-    const auto batched = batched_fleet.run(4);
-    ASSERT_EQ(batched.failed, 0u);
-    ASSERT_EQ(batched.completed, 5u);
-
-    // Non-vacuous: the sessions differ from each other.
-    for (std::size_t i = 1; i < serial.sessions.size(); ++i)
-        EXPECT_NE(serial.sessions[i].telemetry_digest,
-                  serial.sessions[0].telemetry_digest);
-
-    for (std::size_t i = 0; i < serial.sessions.size(); ++i) {
-        EXPECT_EQ(threaded.sessions[i].telemetry_digest,
-                  serial.sessions[i].telemetry_digest)
-            << "session " << i;
-        EXPECT_EQ(batched.sessions[i].telemetry_digest,
-                  serial.sessions[i].telemetry_digest)
-            << "session " << i;
-        EXPECT_EQ(batched.sessions[i].intervals, 6u);
-        EXPECT_EQ(batched.sessions[i].name, serial.sessions[i].name);
-    }
-}
-
-TEST(FleetBatched, HeterogeneousAndFaultyDigestsMatchScalarPath)
-{
-    // A mixed fleet with tenants on one session and a jittering fault
-    // plan on another: the fault jitter shortens intervals, forcing the
-    // lockstep drive through its lane-deactivation path.
-    auto spec = heteroSpec();
-    spec.sessions[1].faults = sim::FaultPlan::parse(
-        "msr=0.3,sensor_drop=0.2,diode_spike=0.1,jitter=0.3");
-
-    Fleet scalar_fleet(spec);
-    const auto scalar = scalar_fleet.run(2);
-    ASSERT_EQ(scalar.failed, 0u);
-    ASSERT_EQ(scalar.completed, 5u);
-
-    spec.batched = true;
-    Fleet batched_fleet(std::move(spec));
-    const auto batched = batched_fleet.run(1);
-    ASSERT_EQ(batched.failed, 0u);
-    ASSERT_EQ(batched.completed, 5u);
-
-    for (std::size_t i = 0; i < scalar.sessions.size(); ++i) {
-        EXPECT_EQ(batched.sessions[i].telemetry_digest,
-                  scalar.sessions[i].telemetry_digest)
-            << "session " << i;
-        EXPECT_EQ(batched.sessions[i].intervals,
-                  scalar.sessions[i].intervals)
-            << "session " << i;
-    }
 }
 
 } // namespace

@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdint>
 
+#include "ppep/sim/chip.hpp"
 #include "ppep/sim/pmc.hpp"
+#include "ppep/workloads/microbench.hpp"
 
 namespace {
 
@@ -75,6 +77,28 @@ TEST(PmcBank, ReprogramKeepsCountUntilWritten)
     EXPECT_DOUBLE_EQ(bank.read(0), 10.0);  // count register persists
     bank.write(0, 0.0);
     EXPECT_DOUBLE_EQ(bank.read(0), 0.0);
+}
+
+TEST(PmcBank, RawCountsOfAChipsEventsEqualItsTruth)
+{
+    // Raw counting, no multiplexer: two selects programmed by hand on a
+    // bank fed one core's per-tick events read back exactly the chip's
+    // ground-truth instructions and unhalted cycles.
+    Chip chip(fx8320Config(), 1);
+    chip.setJob(0, ppep::workloads::makeBenchA());
+    PmcBank bank(6);
+    bank.program(0, Event::RetiredInst);
+    bank.program(1, Event::ClocksNotHalted);
+    double truth_inst = 0.0, truth_cyc = 0.0;
+    for (int t = 0; t < 10; ++t) {
+        const auto r = chip.step();
+        bank.observe(r.truth.core_events[0]);
+        truth_inst += r.truth.activity[0].instructions;
+        truth_cyc += r.truth.activity[0].cycles;
+    }
+    EXPECT_GT(truth_inst, 0.0);
+    EXPECT_NEAR(bank.read(0), truth_inst, 1.0);
+    EXPECT_NEAR(bank.read(1), truth_cyc, 1.0);
 }
 
 TEST(PmcBankDeath, SlotBoundsChecked)

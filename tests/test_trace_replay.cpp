@@ -408,6 +408,46 @@ TEST(SessionReplay, RecordedSessionReplaysBitIdentically)
     EXPECT_EQ(replay_digest.digest(), live_digest.digest());
 }
 
+TEST(SessionReplay, SplitReplayAcrossAScheduleDropMatchesTheRecording)
+{
+    // The replayed caps are checked against the schedule at the
+    // session's own interval index, which runs on across drive() calls:
+    // a recording made in one call replays through two, across the
+    // drop, bit for bit.
+    const sim::ChipConfig cfg = sim::fx8320Config();
+    const std::uint64_t fp = runtime::platformFingerprint(cfg);
+    const std::string path = tracePath("split");
+    const ppep::governor::CapSchedule stepped({{0, 1000.0}, {30, 60.0}});
+    const auto builder = [&] {
+        return Session::builder(cfg)
+            .seed(9)
+            .trainingSeed(91)
+            .trainingCombos(smallTrainingSet())
+            .store(runtime::ModelStore(cacheDir()))
+            .onePerCu({"EP", "CG"})
+            .governor(runtime::cappingGovernor())
+            .schedule(stepped);
+    };
+
+    runtime::DigestSink live_digest;
+    runtime::RecorderSink recorder("solo", fp, cfg.coreCount(),
+                                   cfg.n_cus, false);
+    auto live = builder().warmup(1).sink(live_digest).sink(recorder)
+                    .build();
+    EXPECT_EQ(live.drive(40), 40u);
+    trace::writeReplayFile(path, {&recorder.stream()});
+
+    trace::ReplayFile file(path);
+    trace::ReplaySource src(file, 0, fp);
+    runtime::DigestSink replay_digest;
+    auto replayed = builder().replay(src).sink(replay_digest).build();
+    EXPECT_EQ(replayed.drive(20), 20u);
+    EXPECT_EQ(replayed.drive(20), 20u);
+    EXPECT_EQ(src.framesConsumed(), 40u);
+    EXPECT_EQ(replay_digest.intervals(), 40u);
+    EXPECT_EQ(replay_digest.digest(), live_digest.digest());
+}
+
 // --- fleet-level record -> replay ----------------------------------------
 
 /** Record @p spec, replay it, and require digest equality per session. */

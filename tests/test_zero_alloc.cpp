@@ -537,8 +537,7 @@ TEST(ZeroAlloc, ArbitratedWorkerIntervalIsAllocationFreeOnceWarm)
     constexpr std::size_t kSessions = 4;
     std::vector<runtime::DigestSink> digests(kSessions);
     std::vector<std::optional<runtime::Session>> sessions(kSessions);
-    std::vector<std::optional<runtime::Session::LockstepDriver>> drivers(
-        kSessions);
+    std::vector<runtime::Session::LockstepDriver *> drivers(kSessions);
     std::vector<runtime::FleetArbiter::SessionSetup> setups(kSessions);
     runtime::LockstepSlice slice;
     const std::vector<std::string> programs = {"EP", "CG", "458.sjeng",
@@ -555,7 +554,7 @@ TEST(ZeroAlloc, ArbitratedWorkerIntervalIsAllocationFreeOnceWarm)
         if (i == 1)
             b.faults(sim::FaultPlan::parse("msr=0.1,jitter=0.3"));
         sessions[i].emplace(b.build());
-        drivers[i].emplace(*sessions[i]);
+        drivers[i] = &sessions[i]->driver();
         slice.add(*drivers[i]);
         setups[i].n_vf = stack.cfg.vf_table.size();
     }

@@ -26,6 +26,7 @@
  */
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,7 +70,6 @@ struct Options
     std::size_t tenants = 0;
     std::string faults;
     bool recalibrate = false;
-    bool batched = false;
     std::string record_path;
     std::string replay_path;
     double budget_w = 0.0; // 0 = no arbitration
@@ -114,11 +114,6 @@ usage(int code)
         "        [--recalibrate]      refit the dynamic-power weights\n"
         "                             online when divergence climbs and\n"
         "                             hot-swap the accepted model in\n"
-        "        [--batched]          step all sessions' chips tick-\n"
-        "                             locked on one thread, their NB\n"
-        "                             fixed points solved interleaved\n"
-        "                             (bit-identical telemetry; --budget\n"
-        "                             fleets always run this way)\n"
         "        [--record FILE]      record every session's interval\n"
         "                             stream into a replay file\n"
         "        [--replay FILE]      govern from a recorded file with\n"
@@ -148,6 +143,28 @@ usage(int code)
     std::exit(code);
 }
 
+/**
+ * All of @p text as a number of type T, or exit 1 with a diagnostic
+ * naming @p what: empty text, junk, trailing characters and values out
+ * of T's range are all rejected (std::from_chars, no exceptions).
+ */
+template <typename T>
+T
+parseNumber(const std::string &text, const char *what)
+{
+    T value{};
+    const char *const last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    if (text.empty() || ec != std::errc() || end != last) {
+        std::fprintf(stderr, "%s: '%s' is %s\n", what, text.c_str(),
+                     ec == std::errc::result_out_of_range
+                         ? "out of range"
+                         : "not a number");
+        std::exit(1);
+    }
+    return value;
+}
+
 Options
 parse(int argc, char **argv)
 {
@@ -174,35 +191,34 @@ parse(int argc, char **argv)
         else if (arg == "-b" || arg == "--benchmark")
             opt.benchmark = next();
         else if (arg == "-n" || arg == "--copies")
-            opt.copies = std::stoul(next());
+            opt.copies = parseNumber<std::size_t>(next(), arg.c_str());
         else if (arg == "--seed")
-            opt.seed = std::stoull(next());
+            opt.seed = parseNumber<std::uint64_t>(next(), arg.c_str());
         else if (arg == "--quick")
             opt.quick = true;
         else if (arg == "--nb-whatif")
             opt.nb_whatif = true;
         else if (arg == "--fleet")
-            opt.fleet_sessions = std::stoul(next());
+            opt.fleet_sessions =
+                parseNumber<std::size_t>(next(), arg.c_str());
         else if (arg == "--threads")
-            opt.threads = std::stoul(next());
+            opt.threads = parseNumber<std::size_t>(next(), arg.c_str());
         else if (arg == "--intervals")
-            opt.intervals = std::stoul(next());
+            opt.intervals = parseNumber<std::size_t>(next(), arg.c_str());
         else if (arg == "--mix")
             opt.mix = next();
         else if (arg == "--tenants")
-            opt.tenants = std::stoul(next());
+            opt.tenants = parseNumber<std::size_t>(next(), arg.c_str());
         else if (arg == "--faults")
             opt.faults = next();
         else if (arg == "--recalibrate")
             opt.recalibrate = true;
-        else if (arg == "--batched")
-            opt.batched = true;
         else if (arg == "--record")
             opt.record_path = next();
         else if (arg == "--replay")
             opt.replay_path = next();
         else if (arg == "--budget") {
-            opt.budget_w = std::stod(next());
+            opt.budget_w = parseNumber<double>(next(), arg.c_str());
             if (!(opt.budget_w > 0.0)) {
                 std::fprintf(stderr, "--budget wants a positive "
                                      "watt value\n");
@@ -216,7 +232,7 @@ parse(int argc, char **argv)
         else if (arg == "--priority")
             opt.priority_csv = next();
         else if (arg == "--slo-floor")
-            opt.slo_floor_w = std::stod(next());
+            opt.slo_floor_w = parseNumber<double>(next(), arg.c_str());
         else if (arg == "--arbiter")
             opt.arbiter_policy = next();
         else if (arg == "-h" || arg == "--help")
@@ -340,17 +356,8 @@ parseMix(const std::string &arg)
             std::exit(1);
         }
         entry.cfg = *cfg;
-        const std::string count = token.substr(colon + 1);
-        for (char c : count) {
-            if (c < '0' || c > '9') {
-                std::fprintf(stderr,
-                             "fleet: bad count '%s' in --mix entry "
-                             "'%s'\n",
-                             count.c_str(), token.c_str());
-                std::exit(1);
-            }
-        }
-        entry.count = std::stoul(count);
+        entry.count = parseNumber<std::size_t>(token.substr(colon + 1),
+                                               "fleet: --mix count");
         if (entry.count == 0) {
             std::fprintf(stderr,
                          "fleet: count must be positive in --mix entry "
@@ -626,7 +633,6 @@ cmdFleet(const Options &opt)
     }
     if (opt.recalibrate)
         spec.default_recalibration.emplace();
-    spec.batched = opt.batched;
     spec.record_path = opt.record_path;
     spec.replay_path = opt.replay_path;
 
@@ -649,8 +655,10 @@ cmdFleet(const Options &opt)
             std::size_t drop_i = 0;
             if (at != std::string::npos && at > 0 &&
                 at + 1 < opt.budget_drop.size()) {
-                drop_w = std::stod(opt.budget_drop.substr(0, at));
-                drop_i = std::stoul(opt.budget_drop.substr(at + 1));
+                drop_w = parseNumber<double>(
+                    opt.budget_drop.substr(0, at), "--budget-drop W");
+                drop_i = parseNumber<std::size_t>(
+                    opt.budget_drop.substr(at + 1), "--budget-drop I");
             }
             if (drop_w <= 0.0 || drop_i == 0 ||
                 drop_i >= opt.intervals) {
@@ -670,7 +678,8 @@ cmdFleet(const Options &opt)
             std::size_t n_tiers = 0;
             if (colon != std::string::npos && colon > 0 &&
                 colon + 1 < opt.tiers.size())
-                n_tiers = std::stoul(opt.tiers.substr(colon + 1));
+                n_tiers = parseNumber<std::size_t>(
+                    opt.tiers.substr(colon + 1), "--tiers K");
             if (n_tiers == 0 || n_tiers > spec.sessions.size()) {
                 std::fprintf(stderr,
                              "fleet: bad --tiers '%s' (want NAME:K "
@@ -714,7 +723,7 @@ cmdFleet(const Options &opt)
                                  opt.priority_csv.c_str());
                     return 1;
                 }
-                const double p = std::stod(tok);
+                const double p = parseNumber<double>(tok, "--priority");
                 if (p < 0.0) {
                     std::fprintf(stderr,
                                  "fleet: --priority weights must be "
@@ -747,9 +756,8 @@ cmdFleet(const Options &opt)
                     opt.replay_path.c_str());
     else
         std::printf("running %zu sessions x %zu intervals on %zu "
-                    "thread(s)%s...\n",
-                    n_sessions, opt.intervals, opt.threads,
-                    opt.batched ? " (tick-locked drive)" : "");
+                    "thread(s)...\n",
+                    n_sessions, opt.intervals, opt.threads);
     const auto res = fleet.run(opt.threads);
 
     util::Table t("\nFleet sessions:");

@@ -55,7 +55,7 @@ knows about:
   unordered-iter
                std::unordered_{map,set} are banned in the files whose
                output feeds the fleet determinism digest (telemetry,
-               arbiter, tenant attribution, trace export/replay): hash
+               arbiter, tenant attribution, trace replay): hash
                iteration order varies across libstdc++ versions and
                seeds, which breaks the bit-identical-at-any-thread-count
                contract. Use std::map or a sorted vector.
@@ -72,6 +72,12 @@ knows about:
                exact. steady_clock (latency telemetry) stays legal —
                wall-clock durations are measured, never folded into
                decisions or digests.
+
+  stale-policy every file named by HOT_FILES, DETERMINISM_FILES or an
+               allowlist (FORMATTING_ALLOWED, RAW_SYNC_ALLOWED) must
+               exist under the lint root: an entry left behind by a
+               deletion or rename guards nothing, and would silently
+               re-admit whatever file later takes its name.
 
 Exit status 0 = clean, 1 = findings, 2 = usage error.
 Run `ppep_lint.py --self-test` to check the rules against the fixtures
@@ -172,7 +178,6 @@ DETERMINISM_FILES = {
     "runtime/async_telemetry.cpp", "runtime/async_telemetry.hpp",
     "runtime/arbiter.cpp", "runtime/arbiter.hpp",
     "runtime/tenant.cpp", "runtime/tenant.hpp",
-    "trace/export.cpp", "trace/export.hpp",
     "trace/replay.cpp", "trace/replay.hpp",
 }
 UNORDERED_RE = re.compile(
@@ -518,6 +523,26 @@ RULES = [check_formatting, check_alloc, check_hot_files, check_hot_state,
          check_unordered_iter, check_fp_contract, check_seed]
 
 
+# The per-file policy lists, by name, for the stale-policy check.
+POLICIES = {
+    "FORMATTING_ALLOWED": FORMATTING_ALLOWED,
+    "HOT_FILES": HOT_FILES,
+    "RAW_SYNC_ALLOWED": RAW_SYNC_ALLOWED,
+    "DETERMINISM_FILES": DETERMINISM_FILES,
+}
+
+
+def check_stale_policy(src_root: Path, policies: dict, out: list):
+    """Tree-level rule: every policy entry names a file under src_root."""
+    for name, entries in policies.items():
+        for rp in sorted(entries):
+            if not (src_root / rp).is_file():
+                out.append(Finding(src_root / rp, 0, "stale-policy",
+                                   f"{name} names '{rp}', which does not "
+                                   "exist under the lint root; drop or "
+                                   "rename the entry"))
+
+
 # --- driver ----------------------------------------------------------------
 
 def lint_tree(src_root: Path) -> list[Finding]:
@@ -529,6 +554,7 @@ def lint_tree(src_root: Path) -> list[Finding]:
         rp = rel(path, src_root)
         for rule in RULES:
             rule(path, rp, lines, findings)
+    check_stale_policy(src_root, POLICIES, findings)
     return findings
 
 
@@ -561,6 +587,16 @@ def self_test(fixtures: Path) -> int:
                 for f in findings:
                     print(f"  {f}")
                 failures += 1
+    # The tree-level rule runs over a fixture directory holding one of
+    # the two files its policy names: exactly the missing one is stale.
+    stale: list[Finding] = []
+    check_stale_policy(fixtures / "stale-policy_tree",
+                       {"HOT_FILES": {"present.cpp", "gone.cpp"}}, stale)
+    if [f.path.name for f in stale] != ["gone.cpp"]:
+        print("SELF-TEST FAIL: stale-policy_tree: expected one "
+              "'stale-policy' finding for gone.cpp, got "
+              f"{[str(f) for f in stale] or 'none'}")
+        failures += 1
     print("self-test:", "FAIL" if failures else "PASS")
     return 1 if failures else 0
 
